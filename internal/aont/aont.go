@@ -73,19 +73,22 @@ func Transform(data []byte, rnd io.Reader) (*Package, error) {
 		return nil, fmt.Errorf("aont: %w", err)
 	}
 
-	padded := pad(data)
-	out := make([]byte, len(padded)+KeySize)
+	// The padded message is laid out in the package buffer itself and
+	// encrypted in place, so the transform allocates only its output.
+	n := paddedLen(len(data))
+	out := make([]byte, n+KeySize)
+	padInto(out[:n], data)
 	// c_i = m_i XOR E_k(i+1), computed as AES-CTR with a fixed zero nonce:
 	// the key is single-use by construction, so the fixed nonce is safe.
 	var iv [aes.BlockSize]byte
 	ctr := cipher.NewCTR(block, iv[:])
-	ctr.XORKeyStream(out[:len(padded)], padded)
+	ctr.XORKeyStream(out[:n], out[:n])
 
 	// c_{s+1} = k XOR h(c_1..c_s). The hash also covers the plaintext
 	// length so truncation is detected at inverse time.
-	digest := packageDigest(out[:len(padded)], len(data))
+	digest := packageDigest(out[:n], len(data))
 	for i := 0; i < KeySize; i++ {
-		out[len(padded)+i] = key[i] ^ digest[i]
+		out[n+i] = key[i] ^ digest[i]
 	}
 	return &Package{Data: out, PlainLen: len(data)}, nil
 }
@@ -130,17 +133,20 @@ func packageDigest(body []byte, plainLen int) [sha256.Size]byte {
 	return out
 }
 
-// pad appends a length-embedding pad: data ‖ canary. The canary is a
-// fixed block whose corruption after inverse signals a damaged package.
-func pad(data []byte) []byte {
+// paddedLen is the length of an n-byte message once padded: the message,
+// 1..BlockSize pad bytes, and the canary block.
+func paddedLen(n int) int { return n + BlockSize - n%BlockSize + BlockSize }
+
+// padInto writes data ‖ length-embedding pad ‖ canary into dst, which
+// must be paddedLen(len(data)) bytes. The canary is a fixed block whose
+// corruption after inverse signals a damaged package.
+func padInto(dst, data []byte) {
 	padLen := BlockSize - len(data)%BlockSize
-	out := make([]byte, len(data)+padLen+BlockSize)
-	copy(out, data)
+	copy(dst, data)
 	for i := len(data); i < len(data)+padLen; i++ {
-		out[i] = byte(padLen)
+		dst[i] = byte(padLen)
 	}
-	copy(out[len(data)+padLen:], canary[:])
-	return out
+	copy(dst[len(data)+padLen:], canary[:])
 }
 
 var canary = [BlockSize]byte{'A', 'O', 'N', 'T', '-', 'R', 'S', ':', 'c', 'a', 'n', 'a', 'r', 'y', '0', '1'}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"securearchive/internal/bufpool"
 	"securearchive/internal/cluster"
 	"securearchive/internal/obs/trace"
 	"securearchive/internal/parallel"
@@ -113,7 +114,15 @@ func (v *Vault) putReader(ctx context.Context, id string, r io.Reader) (int64, e
 		obj.mu.Unlock()
 		return 0, err
 	}
-	obj.enc = &Encoded{Scheme: metas[0].enc.Scheme, PlainLen: int(total)}
+	if len(metas) == 1 {
+		// A chunked object reads only Scheme and PlainLen from obj.enc,
+		// and for one chunk they are the chunk's own: share its Encoded
+		// rather than keep a second one per object. Rewrites replace
+		// chunk metas whole, never mutate them in place.
+		obj.enc = metas[0].enc
+	} else {
+		obj.enc = &Encoded{Scheme: metas[0].enc.Scheme, PlainLen: int(total)}
+	}
 	obj.chunks = metas
 	obj.width = len(metas[0].digests)
 	obj.chain = chain
@@ -180,14 +189,16 @@ func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader) ([]c
 				idx++
 				return ok, nil
 			}
+			probe := bufpool.Get(min(cs, streamProbeBytes))
+			defer probe.Release()
 			for {
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, err)
 				}
-				buf := make([]byte, cs)
-				n, rerr := io.ReadFull(r, buf)
+				buf, rerr := readChunk(r, cs, probe.B)
+				n := len(buf)
 				if n > 0 {
-					h.Write(buf[:n])
+					h.Write(buf)
 					total += int64(n)
 					track(int64(n))
 				}
@@ -205,7 +216,7 @@ func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader) ([]c
 				if rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
 					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, rerr)
 				}
-				tail := buf[:n]
+				tail := buf
 				switch {
 				case n == 0:
 					// Clean EOF on a chunk boundary. An empty reader still
@@ -284,6 +295,30 @@ func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader) ([]c
 	psp.SetAttrs(trace.Int("chunks", len(metas)), trace.Int64("bytes", total))
 	psp.End(nil)
 	return metas, chain, total, nil
+}
+
+// streamProbeBytes sizes the pooled buffer a streaming put first reads
+// each chunk into: bodies shorter than it — a 64 KiB archival object —
+// are read without allocating, or keeping pooled, a chunk-sized buffer.
+const streamProbeBytes = 128 << 10
+
+// readChunk reads the next chunk, up to cs bytes, into a private slice
+// (encodings may alias their input) whose length is what was read, with
+// io.ReadFull's error semantics. The read starts in probe; a body that
+// ends there is copied out at its exact size, and one that outgrows it
+// continues in a fresh chunk-sized slice, which a full chunk keeps.
+func readChunk(r io.Reader, cs int, probe []byte) ([]byte, error) {
+	n, err := io.ReadFull(r, probe)
+	if err != nil || n == cs {
+		return append(make([]byte, 0, n), probe[:n]...), err
+	}
+	buf := make([]byte, cs)
+	copy(buf, probe)
+	m, err := io.ReadFull(r, buf[n:])
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the probe's bytes were read
+	}
+	return buf[:n+m], err
 }
 
 // ReadTo retrieves an object into w, streaming chunk by chunk for

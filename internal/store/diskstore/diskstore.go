@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -92,6 +93,11 @@ type Store struct {
 	mu    sync.Mutex
 	wal   *appendFile
 	nodes []*diskNode
+	// index holds every node's committed shards, grouped by stripe: one
+	// entry per (object, chunk) listing the nodes that hold a shard of
+	// it, rather than a stripe's worth of entries in per-node maps —
+	// the index is most of what an archived object keeps resident here.
+	index map[stripeKey][]nodeRef
 	// dead, once set, fails every subsequent operation: ErrCrashed after
 	// an injected crash point, ErrClosed after Close.
 	dead error
@@ -101,16 +107,107 @@ type Store struct {
 	recovery RecoveryReport
 }
 
-// diskNode is one node's in-memory index over its segment files.
+// diskNode is one node's view of the store: its staging area and its
+// segment files. Its committed shards live in the Store's index.
 type diskNode struct {
 	s      *Store
 	id     int
 	dir    string
-	index  map[store.ShardKey]shardRef
-	staged map[store.ShardKey]stagedRef
-	segs   map[uint64]*segFile // open handles, keyed by segment number
-	cur    uint64              // current append segment; 0 = none yet
-	next   uint64              // next segment number to allocate
+	staged map[indexKey]stagedRef
+	segs   map[uint32]*segFile // open handles, keyed by segment number
+	cur    uint32              // current append segment; 0 = none yet
+	next   uint32              // next segment number to allocate
+}
+
+// indexKey is a store.ShardKey as the in-memory indexes hold it. WAL
+// records and segment headers persist chunk and index as u32, so the
+// narrower fields lose nothing.
+type indexKey struct {
+	object       string
+	chunk, index uint32
+}
+
+// stripeKey addresses one chunk stripe of an object across all nodes.
+type stripeKey struct {
+	object string
+	chunk  uint32
+}
+
+// nodeRef is one committed shard of a stripe: the node holding it, its
+// shard index, and where its body lives.
+type nodeRef struct {
+	ref   shardRef
+	node  uint32
+	index uint32
+}
+
+func keyOf(k store.ShardKey) indexKey {
+	return indexKey{object: k.Object, chunk: uint32(k.Chunk), index: uint32(k.Index)}
+}
+
+func (k indexKey) shardKey() store.ShardKey {
+	return store.ShardKey{Object: k.object, Index: int(k.index), Chunk: int(k.chunk)}
+}
+
+func (k indexKey) stripe() stripeKey { return stripeKey{object: k.object, chunk: k.chunk} }
+
+// committed returns the node's committed shard for k. Caller holds s.mu.
+func (nd *diskNode) committed(k indexKey) (shardRef, bool) {
+	for _, e := range nd.s.index[k.stripe()] {
+		if e.node == uint32(nd.id) && e.index == k.index {
+			return e.ref, true
+		}
+	}
+	return shardRef{}, false
+}
+
+// commit records ref as the node's committed shard for k, replacing any
+// previous version. Caller holds s.mu.
+func (nd *diskNode) commit(k indexKey, ref shardRef) {
+	sk := k.stripe()
+	refs := nd.s.index[sk]
+	for i := range refs {
+		if refs[i].node == uint32(nd.id) && refs[i].index == k.index {
+			refs[i].ref = ref
+			return
+		}
+	}
+	if refs == nil {
+		refs = make([]nodeRef, 0, len(nd.s.nodes)) // a stripe spans the nodes
+	}
+	nd.s.index[sk] = append(refs, nodeRef{ref: ref, node: uint32(nd.id), index: k.index})
+}
+
+// uncommit drops the node's committed shard for k, if any. Caller holds
+// s.mu.
+func (nd *diskNode) uncommit(k indexKey) {
+	sk := k.stripe()
+	refs := nd.s.index[sk]
+	for i := range refs {
+		if refs[i].node != uint32(nd.id) || refs[i].index != k.index {
+			continue
+		}
+		last := len(refs) - 1
+		refs[i] = refs[last]
+		if last == 0 {
+			delete(nd.s.index, sk)
+		} else {
+			nd.s.index[sk] = refs[:last]
+		}
+		return
+	}
+}
+
+// eachCommitted calls fn for every committed shard the node holds.
+// Caller holds s.mu.
+func (nd *diskNode) eachCommitted(fn func(k indexKey, ref shardRef)) {
+	for sk, refs := range nd.s.index {
+		for _, e := range refs {
+			if e.node == uint32(nd.id) {
+				fn(indexKey{object: sk.object, chunk: sk.chunk, index: e.index}, e.ref)
+			}
+		}
+	}
 }
 
 type stagedRef struct {
@@ -137,7 +234,7 @@ func Open(dir string, n int, opts ...Option) (*Store, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("diskstore: need at least one node, got %d", n)
 	}
-	s := &Store{dir: dir, fsync: FsyncCommit, maxSeg: DefaultMaxSegmentBytes}
+	s := &Store{dir: dir, fsync: FsyncCommit, maxSeg: DefaultMaxSegmentBytes, index: make(map[stripeKey][]nodeRef)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -157,9 +254,8 @@ func Open(dir string, n int, opts ...Option) (*Store, error) {
 			s:      s,
 			id:     i,
 			dir:    filepath.Join(dir, fmt.Sprintf("node-%02d", i)),
-			index:  make(map[store.ShardKey]shardRef),
-			staged: make(map[store.ShardKey]stagedRef),
-			segs:   make(map[uint64]*segFile),
+			staged: make(map[indexKey]stagedRef),
+			segs:   make(map[uint32]*segFile),
 			next:   1,
 		}
 		if err := os.MkdirAll(nd.dir, 0o755); err != nil {
@@ -222,21 +318,21 @@ func (nd *diskNode) scanSegments() error {
 			continue
 		}
 		var num uint64
-		if _, err := fmt.Sscanf(name, "%08d.seg", &num); err != nil {
+		if _, err := fmt.Sscanf(name, "%08d.seg", &num); err != nil || num >= math.MaxUint32 {
 			continue
 		}
-		if num >= nd.next {
-			nd.next = num + 1
+		if uint32(num) >= nd.next {
+			nd.next = uint32(num) + 1
 		}
 	}
 	return nil
 }
 
-func segName(num uint64) string { return fmt.Sprintf("%08d.seg", num) }
+func segName(num uint32) string { return fmt.Sprintf("%08d.seg", num) }
 
 // seg returns the open handle for a segment, opening it on demand (a
 // reopened store touches old segments lazily).
-func (nd *diskNode) seg(num uint64) (*segFile, error) {
+func (nd *diskNode) seg(num uint32) (*segFile, error) {
 	if sf, ok := nd.segs[num]; ok {
 		return sf, nil
 	}
@@ -279,7 +375,7 @@ func (nd *diskNode) appendShard(key store.ShardKey, data []byte) (shardRef, erro
 		}
 		sf.dirty = false
 	}
-	return shardRef{seg: nd.cur, off: off, klen: len(key.Object), dlen: len(data)}, nil
+	return shardRef{seg: nd.cur, off: off, dlen: uint32(len(data))}, nil
 }
 
 // commitPoint makes one durable decision: fsync the segments the record
@@ -340,7 +436,7 @@ func (s *Store) CommitStage(stage string, epoch int) (int, error) {
 	}
 	type flip struct {
 		nd  *diskNode
-		key store.ShardKey
+		key indexKey
 		ref shardRef
 	}
 	var flips []flip
@@ -367,8 +463,8 @@ func (s *Store) CommitStage(stage string, epoch int) (int, error) {
 		return 0, err
 	}
 	for _, f := range flips {
-		f.ref.epoch = epoch
-		f.nd.index[f.key] = f.ref
+		f.ref.epoch = int64(epoch)
+		f.nd.commit(f.key, f.ref)
 		delete(f.nd.staged, f.key)
 	}
 	return len(flips), nil
@@ -430,7 +526,7 @@ func (s *Store) closeFiles() {
 		for _, sf := range nd.segs {
 			sf.af.close()
 		}
-		nd.segs = make(map[uint64]*segFile)
+		nd.segs = make(map[uint32]*segFile)
 	}
 }
 
@@ -458,8 +554,8 @@ func (nd *diskNode) Put(sh store.Shard) error {
 	if err := s.commitPoint(r.frame(), []*segFile{sf}); err != nil {
 		return err
 	}
-	ref.epoch = sh.Epoch
-	nd.index[sh.Key] = ref
+	ref.epoch = int64(sh.Epoch)
+	nd.commit(keyOf(sh.Key), ref)
 	return nil
 }
 
@@ -470,25 +566,26 @@ func (nd *diskNode) Get(key store.ShardKey) (store.Shard, bool, error) {
 	if s.dead != nil {
 		return store.Shard{}, false, s.dead
 	}
-	ref, ok := nd.index[key]
+	ref, ok := nd.committed(keyOf(key))
 	if !ok {
 		return store.Shard{}, false, nil
 	}
-	data, err := nd.readBody(ref)
+	data, err := nd.readBody(ref, len(key.Object))
 	if err != nil {
 		return store.Shard{}, false, err
 	}
-	return store.Shard{Key: key, Epoch: ref.epoch, Data: data}, true, nil
+	return store.Shard{Key: key, Epoch: int(ref.epoch), Data: data}, true, nil
 }
 
-// readBody reads one shard's bytes. Caller holds s.mu.
-func (nd *diskNode) readBody(ref shardRef) ([]byte, error) {
+// readBody reads the bytes of one shard whose object id is klen bytes.
+// Caller holds s.mu.
+func (nd *diskNode) readBody(ref shardRef, klen int) ([]byte, error) {
 	sf, err := nd.seg(ref.seg)
 	if err != nil {
 		return nil, err
 	}
 	data := make([]byte, ref.dlen)
-	if _, err := sf.af.f.ReadAt(data, ref.off+int64(segHeaderLen+ref.klen)); err != nil {
+	if _, err := sf.af.f.ReadAt(data, ref.bodyOff(klen)); err != nil {
 		return nil, fmt.Errorf("diskstore: node %d seg %d: %w", nd.id, ref.seg, err)
 	}
 	return data, nil
@@ -506,8 +603,9 @@ func (nd *diskNode) Delete(key store.ShardKey) error {
 	if s.dead != nil {
 		return s.dead
 	}
-	_, committed := nd.index[key]
-	_, parked := nd.staged[key]
+	k := keyOf(key)
+	_, committed := nd.committed(k)
+	_, parked := nd.staged[k]
 	if !committed && !parked {
 		return nil
 	}
@@ -520,8 +618,8 @@ func (nd *diskNode) Delete(key store.ShardKey) error {
 	if err := s.commitPoint(r.frame(), nil); err != nil {
 		return err
 	}
-	delete(nd.index, key)
-	delete(nd.staged, key)
+	nd.uncommit(k)
+	delete(nd.staged, k)
 	return nil
 }
 
@@ -552,8 +650,8 @@ func (nd *diskNode) Stage(stage string, sh store.Shard) error {
 			return err
 		}
 	}
-	ref.epoch = sh.Epoch
-	nd.staged[sh.Key] = stagedRef{stage: stage, ref: ref}
+	ref.epoch = int64(sh.Epoch)
+	nd.staged[keyOf(sh.Key)] = stagedRef{stage: stage, ref: ref}
 	return nil
 }
 
@@ -561,7 +659,7 @@ func (nd *diskNode) StagedOwner(key store.ShardKey) (string, bool) {
 	s := nd.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := nd.staged[key]
+	st, ok := nd.staged[keyOf(key)]
 	return st.stage, ok
 }
 
@@ -576,8 +674,8 @@ func (nd *diskNode) ShardLen(key store.ShardKey) (int, bool) {
 	s := nd.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := nd.index[key]
-	return ref.dlen, ok
+	ref, ok := nd.committed(keyOf(key))
+	return int(ref.dlen), ok
 }
 
 // Corrupt flips one bit of the shard's bytes in place on disk —
@@ -591,15 +689,15 @@ func (nd *diskNode) Corrupt(key store.ShardKey, bit int) bool {
 	if s.dead != nil {
 		return false
 	}
-	ref, ok := nd.index[key]
-	if !ok || ref.dlen == 0 || bit < 0 || bit >= ref.dlen*8 {
+	ref, ok := nd.committed(keyOf(key))
+	if !ok || ref.dlen == 0 || bit < 0 || bit >= int(ref.dlen)*8 {
 		return false
 	}
 	sf, err := nd.seg(ref.seg)
 	if err != nil {
 		return false
 	}
-	pos := ref.off + int64(segHeaderLen+ref.klen) + int64(bit/8)
+	pos := ref.bodyOff(len(key.Object)) + int64(bit/8)
 	var b [1]byte
 	if _, err := sf.af.f.ReadAt(b[:], pos); err != nil {
 		return false
@@ -616,13 +714,19 @@ func (nd *diskNode) Snapshot() ([]store.Shard, error) {
 	if s.dead != nil {
 		return nil, s.dead
 	}
-	out := make([]store.Shard, 0, len(nd.index))
-	for key, ref := range nd.index {
-		data, err := nd.readBody(ref)
+	out := []store.Shard{}
+	var err error
+	nd.eachCommitted(func(key indexKey, ref shardRef) {
 		if err != nil {
-			return nil, err
+			return
 		}
-		out = append(out, store.Shard{Key: key, Epoch: ref.epoch, Data: data})
+		var data []byte
+		if data, err = nd.readBody(ref, len(key.object)); err == nil {
+			out = append(out, store.Shard{Key: key.shardKey(), Epoch: int(ref.epoch), Data: data})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Key, out[j].Key
@@ -642,9 +746,7 @@ func (nd *diskNode) StoredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for _, ref := range nd.index {
-		total += int64(ref.dlen)
-	}
+	nd.eachCommitted(func(_ indexKey, ref shardRef) { total += int64(ref.dlen) })
 	for _, st := range nd.staged {
 		total += int64(st.ref.dlen)
 	}
@@ -656,13 +758,13 @@ func (nd *diskNode) ObjectBytes(object string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for key, ref := range nd.index {
-		if key.Object == object {
+	nd.eachCommitted(func(key indexKey, ref shardRef) {
+		if key.object == object {
 			total += int64(ref.dlen)
 		}
-	}
+	})
 	for key, st := range nd.staged {
-		if key.Object == object {
+		if key.object == object {
 			total += int64(st.ref.dlen)
 		}
 	}

@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -420,5 +421,40 @@ func sortShards(s []store.Shard) {
 			}
 			s[j-1], s[j] = s[j], s[j-1]
 		}
+	}
+}
+
+// TestReplayRejectsSegmentBeyondU32: the in-memory index holds segment
+// numbers as u32, so a WAL reference whose u64 segment number does not
+// fit must be dropped as invalid — never truncated onto a real segment
+// whose header it would then pass.
+func TestReplayRejectsSegmentBeyondU32(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 1)
+	data := []byte("alpha")
+	if err := s.Node(0).Put(store.Shard{Key: key("a", 0, 0), Epoch: 4, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	// The same reference as the committed put (segment 1, offset 0) but
+	// with segment 1+2^32 and a different epoch.
+	var r recBuf
+	r.u8(walPut)
+	writeRefTo(&r, 0, shardRef{off: 0, seg: 1, dlen: uint32(len(data))}, 0, 0, 9)
+	binary.LittleEndian.PutUint64(r.b[5:13], 1+1<<32)
+	r.str16("a")
+	if _, err := s.wal.append(r.frame()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, 1)
+	defer s2.Close()
+	if rep := s2.Recovery(); rep.InvalidRefs != 1 {
+		t.Fatalf("recovery = %+v; want the out-of-range reference dropped", rep)
+	}
+	sh, ok, err := s2.Node(0).Get(key("a", 0, 0))
+	if err != nil || !ok || sh.Epoch != 4 || !bytes.Equal(sh.Data, data) {
+		t.Fatalf("get a = %+v ok=%v err=%v; want the original epoch-4 shard", sh, ok, err)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-
-	"securearchive/internal/store"
 )
 
 // RecoveryReport describes what Open's WAL replay found and repaired.
@@ -77,7 +75,9 @@ func (s *Store) replay() error {
 			delete(nd.staged, key)
 			s.recovery.OrphanedStages++
 		}
-		s.recovery.Shards += len(nd.index)
+	}
+	for _, refs := range s.index {
+		s.recovery.Shards += len(refs)
 	}
 	return nil
 }
@@ -99,9 +99,8 @@ func (s *Store) applyRecord(payload []byte) {
 			s.recovery.InvalidRefs++
 			return
 		}
-		key := store.ShardKey{Object: rec.object, Index: rec.index, Chunk: rec.chunk}
-		rec.ref.epoch = rec.epoch
-		nd.staged[key] = stagedRef{stage: rec.stage, ref: rec.ref}
+		rec.ref.epoch = int64(rec.epoch)
+		nd.staged[rec.key()] = stagedRef{stage: rec.stage, ref: rec.ref}
 	case walPut:
 		rec := readShardRecord(r, false)
 		if !r.ok || rec.node < 0 || rec.node >= len(s.nodes) {
@@ -113,9 +112,8 @@ func (s *Store) applyRecord(payload []byte) {
 			s.recovery.InvalidRefs++
 			return
 		}
-		key := store.ShardKey{Object: rec.object, Index: rec.index, Chunk: rec.chunk}
-		rec.ref.epoch = rec.epoch
-		nd.index[key] = rec.ref
+		rec.ref.epoch = int64(rec.epoch)
+		nd.commit(rec.key(), rec.ref)
 	case walCommit:
 		epoch := int(int64(r.u64()))
 		stage := r.str16()
@@ -127,8 +125,8 @@ func (s *Store) applyRecord(payload []byte) {
 				if st.stage != stage {
 					continue
 				}
-				st.ref.epoch = epoch
-				nd.index[key] = st.ref
+				st.ref.epoch = int64(epoch)
+				nd.commit(key, st.ref)
 				delete(nd.staged, key)
 			}
 		}
@@ -146,14 +144,14 @@ func (s *Store) applyRecord(payload []byte) {
 		}
 	case walDelete:
 		node := int(r.u32())
-		index := int(r.u32())
-		chunk := int(r.u32())
+		index := r.u32()
+		chunk := r.u32()
 		object := r.str16()
 		if !r.ok || node < 0 || node >= len(s.nodes) {
 			return
 		}
-		key := store.ShardKey{Object: object, Index: index, Chunk: chunk}
-		delete(s.nodes[node].index, key)
+		key := indexKey{object: object, chunk: chunk, index: index}
+		s.nodes[node].uncommit(key)
 		delete(s.nodes[node].staged, key)
 	}
 }

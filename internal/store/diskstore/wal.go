@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 )
 
@@ -176,21 +177,28 @@ func (r *recReader) str16() string {
 	return string(r.take(int(binary.LittleEndian.Uint16(n))))
 }
 
-// shardRef locates one shard's body inside a node's segment files.
+// shardRef locates one shard's body inside a node's segment files. It
+// is the value of every index slot, so it holds only what the key does
+// not: the body starts past the record header and the key's object id,
+// the WAL persists the body length as u32, and segment numbers are
+// allocated one at a time from 1 (replay rejects any beyond u32).
 type shardRef struct {
-	seg   uint64 // segment number
 	off   int64  // offset of the record header within the segment
-	klen  int    // object-id length (data begins at off+segHeaderLen+klen)
-	dlen  int    // body length
-	epoch int    // epoch stamped at commit (or put) time
+	epoch int64  // epoch stamped at commit (or put) time
+	seg   uint32 // segment number
+	dlen  uint32 // body length
 }
+
+// bodyOff is the offset of the body within the segment, for a key whose
+// object id is klen bytes.
+func (ref shardRef) bodyOff(klen int) int64 { return ref.off + int64(segHeaderLen+klen) }
 
 // writeRefTo appends the fixed-width half of a stage/put record.
 func writeRefTo(r *recBuf, node int, ref shardRef, index, chunk, epoch int) {
 	r.u32(uint32(node))
-	r.u64(ref.seg)
+	r.u64(uint64(ref.seg))
 	r.u64(uint64(ref.off))
-	r.u32(uint32(ref.dlen))
+	r.u32(ref.dlen)
 	r.u32(uint32(index))
 	r.u32(uint32(chunk))
 	r.u64(uint64(epoch))
@@ -206,17 +214,25 @@ type walShardRecord struct {
 	stage        string // empty for walPut
 }
 
+// key is the index key the record describes.
+func (rec walShardRecord) key() indexKey {
+	return indexKey{object: rec.object, chunk: uint32(rec.chunk), index: uint32(rec.index)}
+}
+
 func readShardRecord(r *recReader, staged bool) walShardRecord {
 	var rec walShardRecord
 	rec.node = int(r.u32())
-	rec.ref.seg = r.u64()
+	seg := r.u64()
+	if seg > math.MaxUint32 {
+		r.ok = false
+	}
+	rec.ref.seg = uint32(seg)
 	rec.ref.off = int64(r.u64())
-	rec.ref.dlen = int(r.u32())
+	rec.ref.dlen = r.u32()
 	rec.index = int(r.u32())
 	rec.chunk = int(r.u32())
 	rec.epoch = int(int64(r.u64()))
 	rec.object = r.str16()
-	rec.ref.klen = len(rec.object)
 	if staged {
 		rec.stage = r.str16()
 	}
@@ -253,19 +269,20 @@ func segRecord(object string, index, chunk int, data []byte) []byte {
 // given key — the recovery cross-check that a WAL reference points at a
 // fully written record and not into a torn tail.
 func checkSegHeader(f *os.File, fileSize int64, ref shardRef, object string, index, chunk int) error {
-	end := ref.off + int64(segHeaderLen+ref.klen+ref.dlen)
+	klen := len(object)
+	end := ref.bodyOff(klen) + int64(ref.dlen)
 	if ref.off < 0 || end > fileSize {
 		return fmt.Errorf("diskstore: ref beyond segment end (%d > %d)", end, fileSize)
 	}
-	hdr := make([]byte, segHeaderLen+ref.klen)
+	hdr := make([]byte, segHeaderLen+klen)
 	if _, err := f.ReadAt(hdr, ref.off); err != nil {
 		return err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:4]) != segMagic ||
-		int(binary.LittleEndian.Uint16(hdr[4:6])) != ref.klen ||
+		int(binary.LittleEndian.Uint16(hdr[4:6])) != klen ||
 		int(binary.LittleEndian.Uint32(hdr[8:12])) != index ||
 		int(binary.LittleEndian.Uint32(hdr[12:16])) != chunk ||
-		int(binary.LittleEndian.Uint32(hdr[16:20])) != ref.dlen ||
+		binary.LittleEndian.Uint32(hdr[16:20]) != ref.dlen ||
 		string(hdr[segHeaderLen:]) != object {
 		return fmt.Errorf("diskstore: segment header mismatch for %s[%d] chunk %d", object, index, chunk)
 	}

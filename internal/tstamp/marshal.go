@@ -10,9 +10,12 @@ import (
 // Timestamp chains are archival artifacts themselves: the evidence must
 // outlive processes and machines, so the public portion of a chain has a
 // stable serialised form. The owner-held commitment opening is
-// deliberately NOT serialised here — it is key material, stored and
-// shared by the owner's own means (e.g. a vss sharing); ExportOpening and
-// ImportOpening handle it separately and explicitly.
+// deliberately NOT serialised here — it is key material, to be stored
+// and shared by the owner's own means (e.g. a vss sharing). Nothing in
+// this package carries it yet: an Unmarshal'ed commitment-mode chain can
+// Verify and Renew, but VerifyData/VerifyDigest on it fail with
+// ErrOpeningFailed ("opening not held") until a catalog persists
+// openings alongside their chains.
 
 // wireLink is the serialised form of one link.
 type wireLink struct {
@@ -58,8 +61,8 @@ func (c *Chain) Marshal() ([]byte, error) {
 }
 
 // Unmarshal reconstructs a chain from its serialised public portion. The
-// result can Verify and Renew; VerifyData in commitment mode additionally
-// needs ImportOpening.
+// result can Verify and Renew; in commitment mode it holds no opening,
+// so VerifyData fails with "opening not held".
 func Unmarshal(data []byte) (*Chain, error) {
 	var w wireChain
 	if err := json.Unmarshal(data, &w); err != nil {

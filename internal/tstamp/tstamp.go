@@ -101,7 +101,18 @@ type Chain struct {
 	// Opening is retained by the data owner in commitment mode; it is NOT
 	// part of the public chain.
 	Opening *commit.PedersenOpening
-	ped     *commit.Pedersen
+	// grp is the Pedersen group the opening was committed in; nil for
+	// chains that hold no opening (hash mode, Unmarshal).
+	grp *group.Group
+	// sealed fingerprints the (Links[0].Ref, Opening.M, Opening.R) triple
+	// NewFromDigest committed — the verify-once memo. The commitment was
+	// computed from exactly that opening, so the Pedersen check holds by
+	// construction for as long as the current triple still hashes to it;
+	// VerifyDigest then skips the two modexps. Written once, before the
+	// chain is returned, and never on the read path. The zero value
+	// means "never sealed in this process" and always takes the full
+	// check.
+	sealed [sha256.Size]byte
 }
 
 // New starts a chain over data at the given epoch, signed with scheme s.
@@ -129,14 +140,16 @@ func NewFromDigest(digest [sha256.Size]byte, mode RefMode, scheme sig.Scheme, ep
 		if grp == nil {
 			grp = group.Default()
 		}
-		c.ped = commit.NewPedersen(grp)
 		m := new(big.Int).SetBytes(digest[:28]) // fits any sane group's scalar capacity
-		pc, op, err := c.ped.Commit(m, rnd)
+		r, err := grp.RandScalar(rnd)
 		if err != nil {
 			return nil, err
 		}
-		c.Opening = &op
-		ref = pc.Bytes()
+		// The opening lives as long as the object: hold its scalars in
+		// exactly-sized words rather than math/big's padded allocations.
+		c.grp = grp
+		c.Opening = &commit.PedersenOpening{M: exactScalar(m), R: exactScalar(r)}
+		ref = commit.NewPedersen(grp).CommitWith(c.Opening.M, c.Opening.R).Bytes()
 	default:
 		return nil, fmt.Errorf("tstamp: unknown ref mode %d", mode)
 	}
@@ -145,6 +158,9 @@ func NewFromDigest(digest [sha256.Size]byte, mode RefMode, scheme sig.Scheme, ep
 		return nil, err
 	}
 	c.Links = []*Link{link}
+	if mode == RefCommitment {
+		c.sealed, _ = c.openingFingerprint()
+	}
 	return c, nil
 }
 
@@ -230,8 +246,10 @@ func (c *Chain) Verify(now int, breaks sig.BreakSchedule) error {
 }
 
 // VerifyData checks that the chain actually vouches for the given data:
-// in hash mode by digest comparison, in commitment mode by verifying the
-// retained opening against the committed scalar.
+// in hash mode by digest comparison, in commitment mode by comparing the
+// digest with the opening's committed scalar and checking the opening
+// against the commitment (see VerifyDigest for when that check is
+// memoized).
 func (c *Chain) VerifyData(data []byte) error {
 	return c.VerifyDigest(sha256.Sum256(data))
 }
@@ -239,6 +257,15 @@ func (c *Chain) VerifyData(data []byte) error {
 // VerifyDigest is VerifyData for callers that hashed the object
 // incrementally (streaming reads): the chain binds the digest, so the
 // check never needs the whole plaintext at once.
+//
+// In commitment mode the digest is compared with Opening.M on every
+// call. The Pedersen check of the opening against Links[0].Ref — two
+// modexps — runs in full unless the current (Ref, M, R) triple hashes to
+// the fingerprint recorded at seal, in which case it is the very triple
+// the commitment was computed from and the check cannot fail. A ref or
+// opening changed after seal, by replacement or in place, and a chain
+// never sealed in this process always take the full check, so the
+// verdict is the same function of the same inputs either way.
 func (c *Chain) VerifyDigest(digest [sha256.Size]byte) error {
 	if len(c.Links) == 0 {
 		return ErrEmptyChain
@@ -251,21 +278,63 @@ func (c *Chain) VerifyDigest(digest [sha256.Size]byte) error {
 		}
 		return nil
 	case RefCommitment:
-		if c.Opening == nil || c.ped == nil {
+		if c.Opening == nil || c.grp == nil {
 			return fmt.Errorf("%w: opening not held", ErrOpeningFailed)
 		}
-		m := new(big.Int).SetBytes(digest[:28])
-		if m.Cmp(c.Opening.M) != 0 {
+		var m big.Int
+		m.SetBytes(digest[:28])
+		if c.Opening.M == nil || m.Cmp(c.Opening.M) != 0 {
 			return ErrOpeningFailed
 		}
+		if c.sealed != ([sha256.Size]byte{}) {
+			if fp, ok := c.openingFingerprint(); ok && fp == c.sealed {
+				return nil
+			}
+		}
 		pc := commit.PedersenCommitmentFromBytes(first.Ref)
-		if err := c.ped.Verify(pc, *c.Opening); err != nil {
+		if err := commit.NewPedersen(c.grp).Verify(pc, *c.Opening); err != nil {
 			return fmt.Errorf("%w: %v", ErrOpeningFailed, err)
 		}
 		return nil
 	default:
 		return fmt.Errorf("tstamp: unknown ref mode %d", c.Mode)
 	}
+}
+
+// openingFingerprint hashes the triple the Pedersen check consumes: the
+// committed reference and both opening scalars. Each field is
+// length-prefixed and the scalars carry their sign, so two distinct
+// triples never share an encoding. ok is false when the chain holds no
+// complete opening.
+func (c *Chain) openingFingerprint() (fp [sha256.Size]byte, ok bool) {
+	if len(c.Links) == 0 || c.Opening == nil || c.Opening.M == nil || c.Opening.R == nil {
+		return fp, false
+	}
+	var buf [640]byte // a 2048-bit group's triple fits without growing
+	b := binary.BigEndian.AppendUint32(buf[:0], uint32(len(c.Links[0].Ref)))
+	b = append(b, c.Links[0].Ref...)
+	b = appendScalar(b, c.Opening.M)
+	b = appendScalar(b, c.Opening.R)
+	return sha256.Sum256(b), true
+}
+
+// appendScalar appends x's sign, word count and words (big.Int keeps
+// them normalised, so equal values encode equally).
+func appendScalar(b []byte, x *big.Int) []byte {
+	b = append(b, byte(x.Sign()+1))
+	words := x.Bits()
+	b = binary.BigEndian.AppendUint32(b, uint32(len(words)))
+	for _, w := range words {
+		b = binary.BigEndian.AppendUint64(b, uint64(w))
+	}
+	return b
+}
+
+// exactScalar copies a non-negative x into a backing array of exactly
+// its word length.
+func exactScalar(x *big.Int) *big.Int {
+	w := x.Bits()
+	return new(big.Int).SetBits(append(make([]big.Word, 0, len(w)), w...))
 }
 
 // Head returns the most recent link.
