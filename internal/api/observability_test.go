@@ -251,6 +251,23 @@ func TestMetricsLabeledFamilies(t *testing.T) {
 	if v, ok := snap.Series("api.requests", "acme"); !ok || v != 2 {
 		t.Fatalf("api.requests{acme} = %d ok=%v", v, ok)
 	}
+
+	// Every served PUT and GET lands in its encoding's latency series
+	// exactly once, and each one-chunk object's encode and decode feed
+	// the codec rates once.
+	for _, want := range []string{
+		`vault_put_ns_count{encoding="erasure_coding"} 2`,
+		`vault_get_ns_count{encoding="erasure_coding"} 2`,
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+	for _, name := range []string{"encode.erasure_coding.mbps", "decode.erasure_coding.mbps"} {
+		if got := snap.Histograms[name].Count; got != 2 {
+			t.Fatalf("%s count = %d, want 2", name, got)
+		}
+	}
 }
 
 // Acceptance: /slo reports per-tenant compliance and error-budget burn

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -335,13 +336,8 @@ func (v *Vault) flushBatch(ctx context.Context, batch []*pendingPut) error {
 	}
 
 	bs := &batchState{
-		id: bid,
-		enc: &Encoded{
-			Scheme:       enc.Scheme,
-			PlainLen:     enc.PlainLen,
-			ClientSecret: enc.ClientSecret,
-			PublicMeta:   enc.PublicMeta,
-		},
+		id:      bid,
+		enc:     enc.withShards(nil),
 		blobLen: len(blob),
 		chain:   chain,
 		digests: ShardDigests(enc.Shards),
@@ -398,18 +394,13 @@ func (v *Vault) fetchBatchBlob(ctx context.Context, memberID string, bs *batchSt
 	}
 	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("shards", res.Fetched))
 	decStart := time.Now()
-	blob, err := v.Encoding.Decode(&Encoded{
-		Scheme:       bs.enc.Scheme,
-		PlainLen:     bs.enc.PlainLen,
-		Shards:       res.Shards,
-		ClientSecret: bs.enc.ClientSecret,
-		PublicMeta:   bs.enc.PublicMeta,
-	})
+	blob, err := v.Encoding.Decode(bs.enc.withShards(res.Shards))
+	decTime := time.Since(decStart)
 	dsp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode batch %s: %w", bs.id, err)
 	}
-	observeRate(v.obsm.decodeMBs, len(blob), time.Since(decStart))
+	observeRate(v.obsm.decodeMBs, len(blob), decTime)
 	_, vsp := trace.Child(ctx, "vault.verify")
 	err = bs.chain.VerifyData(blob)
 	vsp.End(err)
@@ -419,28 +410,31 @@ func (v *Vault) fetchBatchBlob(ctx context.Context, memberID string, bs *batchSt
 	return blob, nil
 }
 
-// readBatchMember is the Get body for a batch member: fetch and verify
-// the whole blob, then slice out and digest-check this member's payload.
-// Callers hold obj.mu and have checked liveness.
-func (v *Vault) readBatchMember(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
+// readBatchMember is the read body for a batch member: fetch and verify
+// the whole blob, then slice out, digest-check and write this member's
+// payload to w. Callers hold obj.mu and have checked liveness.
+func (v *Vault) readBatchMember(ctx context.Context, id string, obj *vaultObject, w io.Writer) (int64, error) {
 	bs := obj.batch
 	bs.mu.RLock()
 	defer bs.mu.RUnlock()
 	blob, err := v.fetchBatchBlob(ctx, id, bs)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	m := &bs.members[obj.batchIndex]
 	if m.off+m.n > len(blob) {
-		return nil, fmt.Errorf("core: batch %s blob truncated for member %s", bs.id, id)
+		return 0, fmt.Errorf("core: batch %s blob truncated for member %s", bs.id, id)
 	}
 	data := blob[m.off : m.off+m.n]
 	if sha256.Sum256(data) != m.digest {
-		return nil, fmt.Errorf("core: batch member %s digest mismatch", id)
+		return 0, fmt.Errorf("core: batch member %s digest mismatch", id)
 	}
 	v.obsm.getBytes.Observe(float64(len(data)))
-	// Copy so the caller's slice doesn't pin the whole decoded blob.
-	return append([]byte(nil), data...), nil
+	n, err := w.Write(data)
+	if err != nil {
+		return int64(n), fmt.Errorf("core: get %s: write: %w", id, err)
+	}
+	return int64(n), nil
 }
 
 // releaseBatchMember is the Delete body for a batch member: the member is
@@ -530,13 +524,7 @@ func (v *Vault) scrubBatchMember(ctx context.Context, id string, obj *vaultObjec
 		shards[i] = nil
 	}
 	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("shards", len(healthy)))
-	blob, err := v.Encoding.Decode(&Encoded{
-		Scheme:       bs.enc.Scheme,
-		PlainLen:     bs.enc.PlainLen,
-		Shards:       shards,
-		ClientSecret: bs.enc.ClientSecret,
-		PublicMeta:   bs.enc.PublicMeta,
-	})
+	blob, err := v.Encoding.Decode(bs.enc.withShards(shards))
 	dsp.End(err)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub %s: decode batch %s from %d healthy shards: %w", id, bs.id, len(healthy), err)

@@ -54,6 +54,15 @@ type Encoded struct {
 	PublicMeta []byte
 }
 
+// withShards returns a copy of e carrying the given shards: the Encoded
+// a Decode needs from kept metadata plus fetched shards, or (with nil)
+// the metadata the vault keeps once the shards live on nodes.
+func (e *Encoded) withShards(shards [][]byte) *Encoded {
+	c := *e
+	c.Shards = shards
+	return &c
+}
+
 // StoredBytes is the at-rest footprint: shards plus public metadata.
 func (e *Encoded) StoredBytes() int {
 	total := len(e.PublicMeta)

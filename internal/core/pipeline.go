@@ -1,39 +1,51 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
+	"sync/atomic"
 	"time"
 
-	"securearchive/internal/cluster"
+	"securearchive/internal/bufpool"
 	"securearchive/internal/obs/trace"
 	"securearchive/internal/parallel"
-	"securearchive/internal/sig"
-	"securearchive/internal/tstamp"
 )
 
-// Pipelined chunked writes: objects larger than the vault's chunk size
-// are split into fixed-size chunks, each encoded as its own stripe, with
-// encoding and staging overlapped as a bounded two-stage pipeline
-// (RapidRAID's shape: hide encode latency behind dispersal instead of
-// encode-all-then-disperse-all). Atomicity is unchanged from the
-// monolithic path — every chunk's shards stage under ONE token and the
-// whole object commits as a single key swap, so a failure at any chunk
-// aborts the stage and leaves no committed shards behind.
+// One object shape: every object the vault writes outside a batch is an
+// ordered list of chunk stripes. The writer reads its input in
+// fixed-size chunks, encodes each chunk as its own stripe, and overlaps
+// encoding with staging as a bounded two-stage pipeline (RapidRAID's
+// shape: hide encode latency behind dispersal instead of
+// encode-all-then-disperse-all). An object no larger than the chunk size
+// is one chunk at Chunk 0. Every chunk's shards stage under ONE token and
+// the whole object commits as a single key swap, so a failure at any
+// chunk aborts the stage and leaves no committed shards behind. Put,
+// PutReader and RenewShares all write through disperseStream.
 
 // pipelineDepth bounds in-flight encoded chunks between the encode and
 // stage stages: depth 2 is enough to keep both stages busy while capping
 // buffered memory at two chunks' worth of shards.
 const pipelineDepth = 2
 
-// chunkMeta is one chunk's client-side encoding state: the Encoded
+// chunkMeta is one chunk stripe's client-side state: the Encoded
 // metadata (shards stripped — those live on nodes) plus per-shard
 // digests for degraded reads and scrubbing.
 type chunkMeta struct {
 	enc     *Encoded
 	digests [][sha256.Size]byte
+}
+
+// newChunkMeta keeps what the vault needs of a freshly encoded chunk.
+func newChunkMeta(enc *Encoded) chunkMeta {
+	return chunkMeta{enc: enc.withShards(nil), digests: ShardDigests(enc.Shards)}
+}
+
+// valid vets a fetched shard of this chunk against its recorded digest;
+// it is the validator every stripe fetch of the chunk passes.
+func (cm *chunkMeta) valid(i int, data []byte) bool {
+	return i < len(cm.digests) && sha256.Sum256(data) == cm.digests[i]
 }
 
 // encodedChunk is the pipeline's unit of flow from encode to stage.
@@ -50,97 +62,113 @@ type encodedChunk struct {
 // of staging anyway.
 const chunkTailFloor = 64
 
-// numChunks returns how many chunks cover dataLen bytes: dataLen/chunkSize
-// full chunks, plus one more only when the remainder clears the tail
-// floor. The last chunk absorbs any sub-floor remainder.
-func numChunks(dataLen, chunkSize int) int {
-	chunks := dataLen / chunkSize
-	if chunks == 0 || dataLen%chunkSize >= chunkTailFloor {
-		chunks++
-	}
-	return chunks
-}
-
-// putChunked is the pipelined write body; the caller has already checked
-// for an existing id. Registry reservation and rollback mirror put.
-func (v *Vault) putChunked(ctx context.Context, id string, data []byte) error {
-	st := v.stripe(id)
-	chain, err := tstamp.New(data, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
-	if err != nil {
-		return err
-	}
-	v.obsm.putBytes.Observe(float64(len(data)))
-
-	obj := &vaultObject{}
-	obj.mu.Lock()
-	st.mu.Lock()
-	if _, ok := st.objects[id]; ok {
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrExists, id)
-	}
-	st.objects[id] = obj
-	st.mu.Unlock()
-
-	metas, err := v.disperseChunked(ctx, id, data)
-	if err != nil {
-		st.mu.Lock()
-		delete(st.objects, id)
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return err
-	}
-	// The object-level Encoded carries only whole-object facts (scheme,
-	// plaintext length, used by StorageCost and listings); per-chunk
-	// secrets and digests live in chunks.
-	obj.enc = &Encoded{Scheme: metas[0].enc.Scheme, PlainLen: len(data)}
-	obj.chunks = metas
-	obj.width = len(metas[0].digests)
-	obj.chain = chain
-	obj.live.Store(true)
-	v.cacheInvalidate(id) // defensive, as in put
-	obj.mu.Unlock()
-	v.obsm.pipelinePuts.Inc()
-	return nil
-}
-
-// disperseChunked encodes data chunk by chunk and stages each chunk's
-// shards as soon as it is encoded, overlapping the two stages through a
-// bounded pipeline; one stage token covers every chunk and commits once.
-// Callers hold the object's write lock. On error the stage is aborted
-// and the cluster keeps whatever encoding it had (none for a fresh Put,
-// the old one for renew/scrub rewrites).
-func (v *Vault) disperseChunked(ctx context.Context, id string, data []byte) ([]chunkMeta, error) {
+// disperseStream runs the reader-fed encode→stage pipeline and returns
+// the committed chunk list and the plaintext length. The producer reads
+// chunkSize-byte chunks with one chunk of lookahead so a sub-floor tail
+// folds into the previous chunk rather than becoming a runt stripe,
+// hashes the plaintext incrementally, and encodes; the consumer stages
+// each chunk under the shared token. seal, when non-nil, receives the
+// plaintext's SHA-256 digest BEFORE the commit, so a failure there (a
+// fresh Put opening its chain) still aborts cleanly; a renewal, which
+// keeps its chain, passes nil. Callers hold the object's write lock. On
+// error the stage is aborted and the cluster keeps whatever the object
+// had (nothing for a fresh Put, the old stripes for a renewal).
+func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader, seal func([sha256.Size]byte) error) ([]chunkMeta, int64, error) {
 	cs := v.chunkSize
-	chunks := numChunks(len(data), cs)
 	stage := v.newStageToken(id)
-	pctx, psp := trace.Child(ctx, "vault.pipeline",
-		trace.Str("object", id), trace.Int("chunks", chunks), trace.Int("bytes", len(data)))
+	// One cluster.stage span covers first stage through commit/abort
+	// (staging interleaves with encoding, so that is its true extent);
+	// each chunk's vault.encode is its sibling under the caller's span.
+	sctx, ssp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
 	start := time.Now()
-	metas := make([]chunkMeta, chunks)
+	h := sha256.New()
+	var total int64
+	var metas []chunkMeta
+
+	// inFlight tracks this put's share of the vault-wide buffered-bytes
+	// gauge: bytes add as they are read, subtract as their chunk stages
+	// (or is dropped by a failing pipeline). The deferred release zeroes
+	// whatever an error path left accounted, so the gauge never leaks.
+	var inFlight atomic.Int64
+	track := func(n int64) {
+		inFlight.Add(n)
+		v.streamBufAdd(n)
+	}
+	defer func() { v.streamBufAdd(-inFlight.Swap(0)) }()
+
 	err := parallel.Pipeline(pipelineDepth,
 		func(emit func(encodedChunk) bool) error {
-			for i := 0; i < chunks; i++ {
+			var pending []byte // lookahead: last full chunk, unemitted
+			idx := 0
+			emitChunk := func(data []byte) (bool, error) {
 				// Cancellation checkpoint between chunk encodes: a
-				// disconnected client must not keep burning CPU on the
-				// remaining chunks of an object nobody will commit.
+				// disconnected client must not keep burning CPU on chunks
+				// nobody will commit.
 				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: encode %s chunk %d: %w", id, i, err)
+					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
 				}
-				lo := i * cs
-				hi := min(lo+cs, len(data))
-				if i == chunks-1 {
-					hi = len(data) // the last chunk absorbs a sub-floor tail
-				}
-				enc, err := v.Encoding.Encode(data[lo:hi], v.rnd)
+				_, esp := trace.Child(ctx, "vault.encode", trace.Int("chunk", idx), trace.Int("bytes", len(data)))
+				encStart := time.Now()
+				enc, err := v.Encoding.Encode(data, v.rnd)
+				encTime := time.Since(encStart)
+				esp.End(err)
 				if err != nil {
-					return fmt.Errorf("core: encode %s chunk %d: %w", id, i, err)
+					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
 				}
-				if !emit(encodedChunk{idx: i, enc: enc}) {
-					return nil // consumer failed; its error wins
-				}
+				observeRate(v.obsm.encodeMBs, len(data), encTime)
+				ok := emit(encodedChunk{idx: idx, enc: enc})
+				idx++
+				return ok, nil
 			}
-			return nil
+			probe := bufpool.Get(min(cs, streamProbeBytes))
+			defer probe.Release()
+			for {
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, err)
+				}
+				buf, rerr := readChunk(r, cs, probe.B)
+				n := len(buf)
+				if n > 0 {
+					h.Write(buf)
+					total += int64(n)
+					track(int64(n))
+				}
+				if rerr == nil {
+					// A full chunk landed, so the previous one cannot be the
+					// tail — emit it and hold this one back instead.
+					if pending != nil {
+						if ok, err := emitChunk(pending); err != nil || !ok {
+							return err // !ok: consumer failed, its error wins
+						}
+					}
+					pending = buf
+					continue
+				}
+				if rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
+					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, rerr)
+				}
+				tail := buf
+				switch {
+				case n == 0:
+					// Clean EOF on a chunk boundary. An empty reader still
+					// encodes the empty slice so the encoding's own empty-data
+					// rejection surfaces.
+					if pending == nil {
+						pending = tail
+					}
+				case pending != nil && n < chunkTailFloor:
+					pending = append(pending, tail...) // fold sub-floor tail
+				default:
+					if pending != nil {
+						if ok, err := emitChunk(pending); err != nil || !ok {
+							return err
+						}
+					}
+					pending = tail
+				}
+				_, err := emitChunk(pending)
+				return err
+			}
 		},
 		func(c encodedChunk) error {
 			// Mirror checkpoint on the staging side: RetryTransientCtx
@@ -149,169 +177,48 @@ func (v *Vault) disperseChunked(ctx context.Context, id string, data []byte) ([]
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: stage %s chunk %d: %w", id, c.idx, err)
 			}
-			if err := v.stageShards(pctx, stage, id, c.idx, c.enc.Shards); err != nil {
+			if err := v.stageShards(sctx, stage, id, c.idx, c.enc.Shards); err != nil {
 				return err
 			}
-			metas[c.idx] = chunkMeta{
-				enc: &Encoded{
-					Scheme:       c.enc.Scheme,
-					PlainLen:     c.enc.PlainLen,
-					ClientSecret: c.enc.ClientSecret,
-					PublicMeta:   c.enc.PublicMeta,
-				},
-				digests: ShardDigests(c.enc.Shards),
-			}
+			metas = append(metas, newChunkMeta(c.enc))
+			track(-int64(c.enc.PlainLen))
 			v.obsm.pipelineChunks.Inc()
 			return nil
 		},
-		nil,
+		func(c encodedChunk) { track(-int64(c.enc.PlainLen)) },
 	)
-	if err != nil {
-		v.Cluster.AbortStage(stage)
-		psp.Event("stage.aborted")
-		psp.End(err)
-		return nil, err
+	if err == nil && seal != nil {
+		var digest [sha256.Size]byte
+		h.Sum(digest[:0])
+		err = seal(digest)
 	}
-	n, err := v.Cluster.CommitStage(stage)
-	if err != nil {
-		v.Cluster.AbortStage(stage)
-		psp.Event("stage.aborted")
-		psp.End(err)
-		return nil, fmt.Errorf("core: commit %s: %w", id, err)
+	if err := v.closeStage(ssp, stage, id, err); err != nil {
+		return nil, 0, err
 	}
-	observeRate(v.obsm.pipelineMBs, len(data), time.Since(start))
-	psp.Event("stage.committed", trace.Int("shards", n))
-	psp.End(nil)
-	return metas, nil
+	observeRate(v.obsm.pipelineMBs, int(total), time.Since(start))
+	return metas, total, nil
 }
 
-// readChunked is the degraded read body for pipeline-written objects;
-// callers hold obj.mu and have checked liveness. It is readChunkedTo
-// (stream.go) into a buffer: each chunk is an independent k-of-n stripe
-// read validated against its own digests, and the integrity chain
-// verifies the whole exactly as it was written.
-func (v *Vault) readChunked(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(obj.enc.PlainLen)
-	if _, err := v.readChunkedTo(ctx, id, obj, &buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// streamProbeBytes sizes the pooled buffer a streaming put first reads
+// each chunk into: bodies shorter than it — a 64 KiB archival object —
+// are read without allocating, or keeping pooled, a chunk-sized buffer.
+const streamProbeBytes = 128 << 10
 
-// scrubChunked audits and repairs a pipeline-written object chunk by
-// chunk. The report aggregates per-node health across chunks (a node is
-// Corrupt if any of its chunk shards rotted, Missing if any is absent,
-// Healthy otherwise); repairs re-encode only the damaged chunks and
-// stage them under one token so the repair commits atomically.
-func (v *Vault) scrubChunked(ctx context.Context, id string, obj *vaultObject) (*ScrubReport, error) {
-	n, _ := v.Encoding.Shards()
-	rep := &ScrubReport{Object: id}
-	nodeMissing := make([]bool, n)
-	nodeCorrupt := make([]bool, n)
-	chunkData := make([][]byte, len(obj.chunks))
-	var damaged []int
-	whole := make([]byte, 0, obj.enc.PlainLen)
-	for ci := range obj.chunks {
-		cm := &obj.chunks[ci]
-		res := v.Cluster.FetchChunkStripeCtx(ctx, id, ci, n, n, v.retry, nil)
-		if res.Canceled != nil {
-			return rep, fmt.Errorf("core: scrub %s chunk %d: %w", id, ci, res.Canceled)
-		}
-		shards := res.Shards
-		healthy, missing, corrupt := CheckShards(shards, cm.digests)
-		for _, i := range missing {
-			nodeMissing[i] = true
-		}
-		for _, i := range corrupt {
-			nodeCorrupt[i] = true
-			shards[i] = nil
-		}
-		if len(missing)+len(corrupt) > 0 {
-			damaged = append(damaged, ci)
-		}
-		data, err := v.Encoding.Decode(&Encoded{
-			Scheme:       cm.enc.Scheme,
-			PlainLen:     cm.enc.PlainLen,
-			Shards:       shards,
-			ClientSecret: cm.enc.ClientSecret,
-			PublicMeta:   cm.enc.PublicMeta,
-		})
-		if err != nil {
-			return rep, fmt.Errorf("core: scrub %s chunk %d: decode from %d healthy shards: %w", id, ci, len(healthy), err)
-		}
-		chunkData[ci] = data
-		whole = append(whole, data...)
+// readChunk reads the next chunk, up to cs bytes, into a private slice
+// (encodings may alias their input) whose length is what was read, with
+// io.ReadFull's error semantics. The read starts in probe; a body that
+// ends there is copied out at its exact size, and one that outgrows it
+// continues in a fresh chunk-sized slice, which a full chunk keeps.
+func readChunk(r io.Reader, cs int, probe []byte) ([]byte, error) {
+	n, err := io.ReadFull(r, probe)
+	if err != nil || n == cs {
+		return append(make([]byte, 0, n), probe[:n]...), err
 	}
-	for i := 0; i < n; i++ {
-		switch {
-		case nodeCorrupt[i]:
-			rep.Corrupt = append(rep.Corrupt, i)
-		case nodeMissing[i]:
-			rep.Missing = append(rep.Missing, i)
-		default:
-			rep.Healthy = append(rep.Healthy, i)
-		}
+	buf := make([]byte, cs)
+	copy(buf, probe)
+	m, err := io.ReadFull(r, buf[n:])
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the probe's bytes were read
 	}
-	if rep.Clean() {
-		v.clearDirty(id)
-		return rep, nil
-	}
-	// Confirm the recovered whole against the integrity chain before
-	// trusting it as a repair source, then rewrite only the damaged
-	// chunks — one stage token, one commit.
-	_, vsp := trace.Child(ctx, "vault.verify")
-	err := obj.chain.VerifyData(whole)
-	vsp.End(err)
-	if err != nil {
-		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered data: %w", id, err)
-	}
-	stage := v.newStageToken(id)
-	newMetas := make(map[int]chunkMeta, len(damaged))
-	for _, ci := range damaged {
-		enc, err := v.Encoding.Encode(chunkData[ci], v.rnd)
-		if err != nil {
-			v.Cluster.AbortStage(stage)
-			return rep, fmt.Errorf("core: scrub %s: re-encode chunk %d: %w", id, ci, err)
-		}
-		if err := v.stageShards(ctx, stage, id, ci, enc.Shards); err != nil {
-			v.Cluster.AbortStage(stage)
-			return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)
-		}
-		newMetas[ci] = chunkMeta{
-			enc: &Encoded{
-				Scheme:       enc.Scheme,
-				PlainLen:     enc.PlainLen,
-				ClientSecret: enc.ClientSecret,
-				PublicMeta:   enc.PublicMeta,
-			},
-			digests: ShardDigests(enc.Shards),
-		}
-	}
-	if _, err := v.Cluster.CommitStage(stage); err != nil {
-		v.Cluster.AbortStage(stage)
-		return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)
-	}
-	v.cacheInvalidate(id) // stripe rewritten; see the scrubObject note
-	for ci, cm := range newMetas {
-		obj.chunks[ci] = cm
-		// A partial rewrite can narrow only its own chunks; widen the
-		// recorded width if the repair encoding grew, and clear the strays
-		// its chunks no longer occupy.
-		w := len(cm.digests)
-		if w > obj.width {
-			obj.width = w
-		} else if w < obj.width {
-			for i := w; i < obj.width; i++ {
-				v.Cluster.Delete(i, cluster.ShardKey{Object: id, Index: i, Chunk: ci})
-			}
-		}
-	}
-	rep.Repaired = true
-	v.obsm.scrubRepairs.Inc()
-	trace.FromContext(ctx).Event("scrub.repaired",
-		trace.Int("missing", len(rep.Missing)), trace.Int("corrupt", len(rep.Corrupt)),
-		trace.Int("chunks", len(damaged)))
-	v.clearDirty(id)
-	return rep, nil
+	return buf[:n+m], err
 }

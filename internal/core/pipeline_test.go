@@ -27,8 +27,9 @@ func chunkedTestVault(t *testing.T, enc Encoding, chunkSize int) (*Vault, *clust
 
 // TestChunkedMatchesMonolithic is the pipeline's differential property:
 // for every encoding, a vault writing through the chunked pipeline and a
-// vault writing monolithically must both round-trip the exact same bytes
-// at the chunk-boundary sizes (chunk−1, chunk, chunk+1, multi-chunk).
+// vault whose chunk size covers every payload (one stripe per object)
+// must both round-trip the exact same bytes at the chunk-boundary sizes
+// (chunk−1, chunk, chunk+1, multi-chunk).
 func TestChunkedMatchesMonolithic(t *testing.T) {
 	const chunk = 2048
 	sizes := []int{chunk - 1, chunk, chunk + 1, 3*chunk + 17}
@@ -37,7 +38,7 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 		t.Run(enc.Name(), func(t *testing.T) {
 			t.Parallel()
 			chunked, cc := chunkedTestVault(t, enc, chunk)
-			mono, _ := chunkedTestVault(t, enc, 0) // chunking disabled
+			mono, _ := chunkedTestVault(t, enc, 4*chunk) // one stripe per object
 			for _, size := range sizes {
 				data := make([]byte, size)
 				rand.Read(data)
@@ -196,7 +197,8 @@ func TestChunkedRenewShares(t *testing.T) {
 
 // TestPipelinedEncodeGate is the acceptance gate for the chunked write
 // pipeline: a 16 MiB put through the encode→stage pipeline must run
-// ≥ 1.5× the monolithic write path's throughput. The win is overlap —
+// ≥ 1.5× a one-stripe write's throughput (a chunk size covering the
+// whole payload: encode everything, then stage). The win is overlap —
 // chunk i+1 encodes while chunk i stages — so real parallelism is a
 // precondition: the gate is specified for ≥ 4 cores and skips below
 // that (on one core the pipeline degenerates to the monolithic order
@@ -233,7 +235,7 @@ func TestPipelinedEncodeGate(t *testing.T) {
 		}
 		return float64(payload) * reps / time.Since(start).Seconds()
 	}
-	mono := throughput(0)
+	mono := throughput(payload)
 	pipe := throughput(DefaultChunkSize)
 	if x := pipe / mono; x < 1.5 {
 		t.Errorf("pipelined 16 MiB put only %.2fx of monolithic, want >= 1.5x (pipeline regression?)", x)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"sync"
 
 	"securearchive/internal/cluster"
@@ -19,7 +18,7 @@ import (
 // Lifetime discipline matters more than speed here:
 //
 //   - Every fetch goroutine runs while the consumer still holds the
-//     object's read lock (readChunkedTo defers stop() before the lock is
+//     object's read lock (readChunks defers stop() before the lock is
 //     released), so prefetchers can read obj.chunks without their own
 //     locking and never outlive the object state they were built over.
 //   - Each result channel is buffered, so a fetch goroutine can always
@@ -98,9 +97,7 @@ func (pf *prefetcher) launch(ci int) {
 	pf.wg.Add(1)
 	go func() {
 		defer pf.wg.Done()
-		ch <- pf.v.Cluster.FetchChunkStripeCtx(pf.ctx, pf.id, ci, pf.n, pf.min, pf.v.retry, func(i int, data []byte) bool {
-			return i < len(cm.digests) && sha256.Sum256(data) == cm.digests[i]
-		})
+		ch <- pf.v.Cluster.FetchChunkStripeCtx(pf.ctx, pf.id, ci, pf.n, pf.min, pf.v.retry, cm.valid)
 	}()
 }
 
@@ -122,7 +119,7 @@ func (pf *prefetcher) next(ci int) *cluster.StripeResult {
 // exit, then reports how many issued look-aheads were consumed vs
 // wasted (fetched or aborted for a consumer that never arrived —
 // early-error or cancelled reads). Safe to call more than once is not
-// needed; readChunkedTo defers exactly one call.
+// needed; readChunks defers exactly one call.
 func (pf *prefetcher) stop() (issued, wasted int64) {
 	pf.cancel()
 	pf.wg.Wait()

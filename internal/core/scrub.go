@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 
+	"securearchive/internal/cluster"
 	"securearchive/internal/obs/trace"
 )
 
@@ -137,76 +138,128 @@ func (v *Vault) ScrubAllContext(ctx context.Context) ([]*ScrubReport, error) {
 }
 
 // scrubObject is the scrub body; callers hold obj.mu in write mode and
-// have checked liveness.
+// have checked liveness. Every non-batch object is a list of chunk
+// stripes, and each chunk's full stripe is fetched and classified
+// against that chunk's digests. The report aggregates per-node health
+// across chunks: a node is Corrupt if any of its chunk shards rotted,
+// Missing if any is absent, Healthy otherwise. A repair confirms the
+// recovered whole against the integrity chain, then re-encodes only the
+// damaged chunks and stages them under one token, so it commits
+// atomically.
 func (v *Vault) scrubObject(ctx context.Context, id string, obj *vaultObject) (*ScrubReport, error) {
 	if obj.batch != nil {
 		return v.scrubBatchMember(ctx, id, obj)
 	}
-	if len(obj.chunks) > 0 {
-		return v.scrubChunked(ctx, id, obj)
-	}
 	n, _ := v.Encoding.Shards()
-	res := v.Cluster.FetchStripeCtx(ctx, id, n, n, v.retry, nil)
-	if res.Canceled != nil {
-		return nil, fmt.Errorf("core: scrub %s: %w", id, res.Canceled)
+	rep := &ScrubReport{Object: id}
+	nodeMissing := make([]bool, n)
+	nodeCorrupt := make([]bool, n)
+	// The whole object's digest accumulates as chunks decode; only the
+	// damaged chunks' plaintext is kept, as the repair's source.
+	h := sha256.New()
+	type damagedChunk struct {
+		ci   int
+		data []byte
+		meta chunkMeta // the rewrite's, once staged
 	}
-	shards := res.Shards
-	healthy, missing, corrupt := CheckShards(shards, obj.digests)
-	rep := &ScrubReport{Object: id, Healthy: healthy, Missing: missing, Corrupt: corrupt}
+	var damaged []damagedChunk
+	for ci := range obj.chunks {
+		cm := &obj.chunks[ci]
+		res := v.Cluster.FetchChunkStripeCtx(ctx, id, ci, n, n, v.retry, nil)
+		if res.Canceled != nil {
+			return nil, fmt.Errorf("core: scrub %s chunk %d: %w", id, ci, res.Canceled)
+		}
+		shards := res.Shards
+		healthy, missing, corrupt := CheckShards(shards, cm.digests)
+		for _, i := range missing {
+			nodeMissing[i] = true
+		}
+		for _, i := range corrupt {
+			nodeCorrupt[i] = true
+			shards[i] = nil // decode from the healthy shards only
+		}
+		_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci), trace.Int("shards", len(healthy)))
+		data, err := v.Encoding.Decode(cm.enc.withShards(shards))
+		dsp.End(err)
+		if err != nil {
+			return rep, fmt.Errorf("core: scrub %s chunk %d: decode from %d healthy shards: %w", id, ci, len(healthy), err)
+		}
+		h.Write(data)
+		if len(missing)+len(corrupt) > 0 {
+			damaged = append(damaged, damagedChunk{ci: ci, data: data})
+		}
+	}
+	for i := 0; i < n; i++ {
+		switch {
+		case nodeCorrupt[i]:
+			rep.Corrupt = append(rep.Corrupt, i)
+		case nodeMissing[i]:
+			rep.Missing = append(rep.Missing, i)
+		default:
+			rep.Healthy = append(rep.Healthy, i)
+		}
+	}
 	if rep.Clean() {
 		// A clean stripe clears any read-time dirty mark: whatever a
 		// degraded read discarded has since healed or been rewritten.
 		v.clearDirty(id)
 		return rep, nil
 	}
-	// Decode from the healthy shards only, then confirm end to end
-	// against the integrity chain before trusting the repair source.
-	for _, i := range corrupt {
-		shards[i] = nil
-	}
-	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("shards", len(healthy)))
-	data, err := v.Encoding.Decode(&Encoded{
-		Scheme:       obj.enc.Scheme,
-		PlainLen:     obj.enc.PlainLen,
-		Shards:       shards,
-		ClientSecret: obj.enc.ClientSecret,
-		PublicMeta:   obj.enc.PublicMeta,
-	})
-	dsp.End(err)
-	if err != nil {
-		return rep, fmt.Errorf("core: scrub %s: decode from %d healthy shards: %w", id, len(healthy), err)
-	}
+	// Confirm the recovered whole end to end against the integrity chain
+	// before trusting it as a repair source.
+	var digest [sha256.Size]byte
+	h.Sum(digest[:0])
 	_, vsp := trace.Child(ctx, "vault.verify")
-	err = obj.chain.VerifyData(data)
+	err := obj.chain.VerifyDigest(digest)
 	vsp.End(err)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered data: %w", id, err)
 	}
-	_, esp := trace.Child(ctx, "vault.encode", trace.Int("bytes", len(data)))
-	enc, err := v.Encoding.Encode(data, v.rnd)
-	esp.End(err)
-	if err != nil {
-		return rep, fmt.Errorf("core: scrub %s: re-encode: %w", id, err)
+	stage := v.newStageToken(id)
+	sctx, ssp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
+	for k := range damaged {
+		d := &damaged[k]
+		_, esp := trace.Child(ctx, "vault.encode", trace.Int("chunk", d.ci), trace.Int("bytes", len(d.data)))
+		enc, eerr := v.Encoding.Encode(d.data, v.rnd)
+		esp.End(eerr)
+		if eerr != nil {
+			err = fmt.Errorf("re-encode chunk %d: %w", d.ci, eerr)
+			break
+		}
+		if err = v.stageShards(sctx, stage, id, d.ci, enc.Shards); err != nil {
+			break
+		}
+		d.meta = newChunkMeta(enc)
 	}
-	if err := v.disperse(ctx, id, enc); err != nil {
+	if err := v.closeStage(ssp, stage, id, err); err != nil {
 		return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)
 	}
-	// The repair rewrote the stripe; the cached plaintext is still
+	// The repair rewrote stripes; the cached plaintext is still
 	// byte-identical, but dropping it keeps the mutator rule — every
 	// stripe rewrite invalidates — unconditional and easy to audit.
 	v.cacheInvalidate(id)
-	obj.enc.ClientSecret = enc.ClientSecret
-	obj.enc.PublicMeta = enc.PublicMeta
-	obj.enc.PlainLen = enc.PlainLen
-	obj.digests = ShardDigests(enc.Shards)
-	oldWidth := obj.width
-	obj.width = len(enc.Shards)
-	v.cleanupStrayShards(id, oldWidth, 1, obj.width, 1)
+	for _, d := range damaged {
+		obj.chunks[d.ci] = d.meta
+		// A partial rewrite can narrow only its own chunks; widen the
+		// recorded width if the repair encoding grew, and clear the strays
+		// its chunks no longer occupy.
+		w := len(d.meta.digests)
+		if w > obj.width {
+			obj.width = w
+		} else if w < obj.width {
+			for i := w; i < obj.width; i++ {
+				v.Cluster.Delete(i, cluster.ShardKey{Object: id, Index: i, Chunk: d.ci})
+			}
+		}
+	}
+	if len(obj.chunks) == 1 {
+		obj.enc = obj.chunks[0].enc // keep sharing the one chunk's Encoded
+	}
 	rep.Repaired = true
 	v.obsm.scrubRepairs.Inc()
-	sp := trace.FromContext(ctx)
-	sp.Event("scrub.repaired",
-		trace.Int("missing", len(rep.Missing)), trace.Int("corrupt", len(rep.Corrupt)))
+	trace.FromContext(ctx).Event("scrub.repaired",
+		trace.Int("missing", len(rep.Missing)), trace.Int("corrupt", len(rep.Corrupt)),
+		trace.Int("chunks", len(damaged)))
 	v.clearDirty(id)
 	return rep, nil
 }

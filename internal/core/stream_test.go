@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"testing"
+
+	"securearchive/internal/cluster"
 )
 
 // iotaReader feeds a deterministic byte pattern of the given length in
@@ -36,6 +39,18 @@ func (r *iotaReader) Read(p []byte) (int, error) {
 	return max, nil
 }
 
+// numChunks is the reference model of disperseStream's splitting rule:
+// dataLen/chunkSize full chunks, plus one more only when the remainder
+// clears chunkTailFloor — a sub-floor remainder folds into the last
+// chunk.
+func numChunks(dataLen, chunkSize int) int {
+	chunks := dataLen / chunkSize
+	if chunks == 0 || dataLen%chunkSize >= chunkTailFloor {
+		chunks++
+	}
+	return chunks
+}
+
 func iotaBytes(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -48,7 +63,8 @@ func iotaBytes(n int) []byte {
 // sizes straddling every chunk-boundary case (single chunk, exact
 // multiple, sub-floor tail that folds into the previous chunk, proper
 // tail chunk, many chunks), PutReader must store exactly what a slice
-// put would, readable through both ReadTo and the slice Get path.
+// put would — the same Stat shape and the same committed shard keys —
+// readable through both ReadTo and the slice Get path.
 func TestPutReaderRoundTrip(t *testing.T) {
 	const chunk = 2048
 	sizes := []int{
@@ -61,7 +77,7 @@ func TestPutReaderRoundTrip(t *testing.T) {
 		3*chunk + 17,
 		8 * chunk,
 	}
-	v, _ := chunkedTestVault(t, Erasure{K: 4, N: 8}, chunk)
+	v, c := chunkedTestVault(t, Erasure{K: 4, N: 8}, chunk)
 	for _, size := range sizes {
 		id := fmt.Sprintf("obj-%d", size)
 		want := iotaBytes(size)
@@ -100,11 +116,45 @@ func TestPutReaderRoundTrip(t *testing.T) {
 		if err := v.Chain(id).VerifyData(want); err != nil {
 			t.Fatalf("chain verify (%d): %v", size, err)
 		}
+		// Put of the same bytes yields the same object shape.
+		putID := "put-" + id
+		if err := v.Put(putID, want); err != nil {
+			t.Fatalf("Put(%d): %v", size, err)
+		}
+		pinfo, err := v.Stat(putID)
+		if err != nil {
+			t.Fatalf("Stat(put %d): %v", size, err)
+		}
+		if pinfo.Chunks != info.Chunks || pinfo.Width != info.Width || pinfo.PlainLen != info.PlainLen {
+			t.Fatalf("size %d: Put shape %+v, PutReader shape %+v", size, pinfo, info)
+		}
+		if pk, sk := committedKeys(t, c, putID), committedKeys(t, c, id); !maps.Equal(pk, sk) {
+			t.Fatalf("size %d: Put keys %v, PutReader keys %v", size, pk, sk)
+		}
 	}
 }
 
+// committedKeys returns object id's committed shard keys across the
+// cluster as a set of (chunk, index) pairs.
+func committedKeys(t *testing.T, c *cluster.Cluster, id string) map[[2]int]bool {
+	t.Helper()
+	out := map[[2]int]bool{}
+	for n := 0; n < c.Size(); n++ {
+		shards, err := c.Snapshot(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shards {
+			if sh.Key.Object == id {
+				out[[2]int{sh.Key.Chunk, sh.Key.Index}] = true
+			}
+		}
+	}
+	return out
+}
+
 // TestReadToSlicePutObjects: ReadTo must serve objects written through
-// the slice paths (monolithic and chunked) — the read side is one
+// the slice path (one stripe and chunked) — the read side is one
 // implementation, not a parallel streaming-only store.
 func TestReadToSlicePutObjects(t *testing.T) {
 	const chunk = 2048
@@ -113,7 +163,7 @@ func TestReadToSlicePutObjects(t *testing.T) {
 		cs   int
 		size int
 	}{
-		{"mono", 0, 4096},
+		{"mono", 4096, 4096},
 		{"chunked", chunk, 3*chunk + 17},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

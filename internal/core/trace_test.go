@@ -14,7 +14,7 @@ import (
 
 // tracedVault builds an 8-node vault over an isolated registry with
 // tracing enabled and an in-memory exporter capturing every trace.
-func tracedVault(t *testing.T, enc Encoding) (*Vault, *cluster.Cluster, *trace.Tracer, *trace.Mem) {
+func tracedVault(t *testing.T, enc Encoding, opts ...VaultOption) (*Vault, *cluster.Cluster, *trace.Tracer, *trace.Mem) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	c := cluster.New(8, nil)
@@ -23,7 +23,8 @@ func tracedVault(t *testing.T, enc Encoding) (*Vault, *cluster.Cluster, *trace.T
 	tr.SetEnabled(true)
 	mem := &trace.Mem{}
 	tr.AddExporter(mem)
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithTracer(tr))
+	opts = append([]VaultOption{WithGroup(group.Test()), WithRegistry(reg), WithTracer(tr)}, opts...)
+	v, err := NewVault(c, enc, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,88 +46,105 @@ func lastTrace(t *testing.T, mem *trace.Mem, name string) *trace.Trace {
 
 // Acceptance: a degraded Get under a fault plan produces one completed
 // trace with vault → cluster.fetch → cluster.probe nesting (≥3 levels),
-// a typed node.down event for every offline node it probed, and decode
-// and verify stages attributed as children of the root.
+// a typed node.down event for every offline node each stripe fetch
+// probed, and decode and verify stages attributed as children of the
+// root. A multi-chunk object has one fetch and one decode per chunk,
+// all siblings under the root (prefetched fetches included).
 func TestDegradedGetTrace(t *testing.T) {
-	enc := Erasure{K: 4, N: 8}
-	v, c, _, mem := tracedVault(t, enc)
-	data := []byte("trace the degraded read end to end")
-	if err := v.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	n, min := enc.Shards()
-	down := n - min // 4 offline still leaves exactly the decode minimum
-	for i := 0; i < down; i++ {
-		c.SetOnline(i, false)
-	}
-	got, err := v.GetContext(context.Background(), "obj")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("degraded get: %v", err)
-	}
-
-	tc := lastTrace(t, mem, "vault.get")
-	if tc.Depth() < 3 {
-		t.Fatalf("trace depth = %d, want >= 3:\n%s", tc.Depth(), trace.Timeline(tc))
-	}
-	rs := tc.RootSpan()
-	if rs == nil || rs.Err != "" {
-		t.Fatalf("root span = %+v", rs)
-	}
-	if a, ok := rs.Attr("object"); !ok || a.Str != "obj" {
-		t.Fatalf("root object attr = %+v", a)
-	}
-
-	// Exactly one node.down event per offline node, each attributed.
-	if gotEv := tc.EventCount("node.down"); gotEv != down {
-		t.Fatalf("node.down events = %d, want %d:\n%s", gotEv, down, trace.Timeline(tc))
-	}
-	seen := map[int64]bool{}
-	for _, s := range tc.Spans {
-		if s.Name != "cluster.probe" {
-			continue
-		}
-		for _, e := range s.Events {
-			if e.Name != "node.down" {
-				continue
+	for _, in := range []struct {
+		name   string
+		chunk  int
+		data   []byte
+		chunks int
+	}{
+		{"one-chunk", DefaultChunkSize, []byte("trace the degraded read end to end"), 1},
+		{"multi-chunk", 256, iotaBytes(3*256 + 100), 4},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			enc := Erasure{K: 4, N: 8}
+			v, c, _, mem := tracedVault(t, enc, WithChunkSize(in.chunk))
+			data := in.data
+			if err := v.Put("obj", data); err != nil {
+				t.Fatal(err)
 			}
-			for _, a := range e.Attrs {
-				if a.Key == "node" {
-					if seen[a.Num] {
-						t.Fatalf("node %d reported down twice", a.Num)
-					}
-					if a.Num < 0 || a.Num >= int64(down) {
-						t.Fatalf("node.down on node %d, offline set is [0,%d)", a.Num, down)
-					}
-					seen[a.Num] = true
+			n, min := enc.Shards()
+			down := n - min // 4 offline still leaves exactly the decode minimum
+			for i := 0; i < down; i++ {
+				c.SetOnline(i, false)
+			}
+			got, err := v.GetContext(context.Background(), "obj")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("degraded get: %v", err)
+			}
+
+			tc := lastTrace(t, mem, "vault.get")
+			if tc.Depth() < 3 {
+				t.Fatalf("trace depth = %d, want >= 3:\n%s", tc.Depth(), trace.Timeline(tc))
+			}
+			rs := tc.RootSpan()
+			if rs == nil || rs.Err != "" {
+				t.Fatalf("root span = %+v", rs)
+			}
+			if a, ok := rs.Attr("object"); !ok || a.Str != "obj" {
+				t.Fatalf("root object attr = %+v", a)
+			}
+
+			// Exactly one node.down event per offline node per stripe
+			// fetch, each attributed.
+			if gotEv := tc.EventCount("node.down"); gotEv != down*in.chunks {
+				t.Fatalf("node.down events = %d, want %d:\n%s", gotEv, down*in.chunks, trace.Timeline(tc))
+			}
+
+			// The fetch spans sit under the root with the probe spans under
+			// them, and the decode/verify stages are siblings of the fetches.
+			kids := tc.Children(rs.SpanID)
+			count := map[string]int{}
+			for _, s := range kids {
+				count[s.Name]++
+			}
+			for _, want := range []string{"cluster.fetch", "vault.decode", "vault.verify"} {
+				if count[want] == 0 {
+					t.Fatalf("root children %v lack %q:\n%s", count, want, trace.Timeline(tc))
 				}
 			}
-		}
-	}
-	if len(seen) != down {
-		t.Fatalf("distinct down nodes = %d, want %d", len(seen), down)
-	}
-
-	// The fetch span sits under the root with the probe spans under it,
-	// and the decode/verify stages are siblings of the fetch.
-	fetch := tc.Children(rs.SpanID)
-	names := map[string]bool{}
-	for _, s := range fetch {
-		names[s.Name] = true
-	}
-	for _, want := range []string{"cluster.fetch", "vault.decode", "vault.verify"} {
-		if !names[want] {
-			t.Fatalf("root children %v lack %q:\n%s", names, want, trace.Timeline(tc))
-		}
-	}
-	for _, s := range fetch {
-		if s.Name == "cluster.fetch" {
-			if probes := tc.Children(s.SpanID); len(probes) < min {
-				t.Fatalf("probe spans = %d, want >= %d", len(probes), min)
+			if count["cluster.fetch"] != in.chunks || count["vault.decode"] != in.chunks {
+				t.Fatalf("root children %v, want %d fetches and decodes:\n%s", count, in.chunks, trace.Timeline(tc))
 			}
-			if a, ok := s.Attr("fetched"); !ok || a.Num != int64(min) {
-				t.Fatalf("fetch fetched attr = %+v", a)
+			for _, s := range kids {
+				if s.Name != "cluster.fetch" {
+					continue
+				}
+				probes := tc.Children(s.SpanID)
+				if len(probes) < min {
+					t.Fatalf("probe spans = %d, want >= %d", len(probes), min)
+				}
+				if a, ok := s.Attr("fetched"); !ok || a.Num != int64(min) {
+					t.Fatalf("fetch fetched attr = %+v", a)
+				}
+				seen := map[int64]bool{}
+				for _, p := range probes {
+					for _, e := range p.Events {
+						if e.Name != "node.down" {
+							continue
+						}
+						for _, a := range e.Attrs {
+							if a.Key == "node" {
+								if seen[a.Num] {
+									t.Fatalf("node %d reported down twice", a.Num)
+								}
+								if a.Num < 0 || a.Num >= int64(down) {
+									t.Fatalf("node.down on node %d, offline set is [0,%d)", a.Num, down)
+								}
+								seen[a.Num] = true
+							}
+						}
+					}
+				}
+				if len(seen) != down {
+					t.Fatalf("distinct down nodes = %d, want %d", len(seen), down)
+				}
 			}
-		}
+		})
 	}
 }
 

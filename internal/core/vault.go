@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -25,11 +25,11 @@ import (
 // low for realistic worker counts while the array stays cache-resident.
 const stripeCount = 64
 
-// DefaultChunkSize is the pipelined writer's chunk size: objects larger
-// than this are split into fixed-size chunks that flow through
-// encode→stage as a bounded pipeline (see pipeline.go). 1 MiB keeps each
-// chunk's stripe well above the coding kernels' parallel grain while
-// bounding the pipeline's in-flight memory to a few chunks.
+// DefaultChunkSize is the writer's chunk size: every object is split
+// into chunks of this size that flow through encode→stage as a bounded
+// pipeline (see pipeline.go). 1 MiB keeps each chunk's stripe well above
+// the coding kernels' parallel grain while bounding the pipeline's
+// in-flight memory to a few chunks.
 const DefaultChunkSize = 1 << 20
 
 // Vault is the framework's user-facing archive: an Encoding composed with
@@ -54,9 +54,8 @@ type Vault struct {
 	// retry bounds per-node retries on transient cluster faults.
 	retry cluster.RetryPolicy
 
-	// chunkSize bounds how much of an object a single encode works on;
-	// larger objects take the pipelined chunked write path. <= 0 disables
-	// chunking (every object encodes monolithically).
+	// chunkSize bounds how much of an object a single encode works on:
+	// each chunkSize-byte chunk is its own stripe (see pipeline.go).
 	chunkSize int
 
 	// stripes shard the object registry (and the dirty queue) by
@@ -138,19 +137,17 @@ type vaultObject struct {
 	enc   *Encoded
 	chain *tstamp.Chain
 	// width is the stripe width actually written — how many shard indexes
-	// this object's live stripes occupy on the cluster, recorded at Put
-	// and updated on renewal/scrub rewrites. Delete must remove exactly
-	// these keys: the vault's Encoding is a mutable field, so recomputing
-	// the width from the *current* encoding at delete time would strand
-	// shards whenever the configuration changed between write and delete.
+	// this object's live stripes occupy on the cluster, recorded before
+	// the object goes live and updated on renewal/scrub rewrites. Delete
+	// must remove exactly these keys: the vault's Encoding is a mutable
+	// field, so recomputing the width from the *current* encoding at
+	// delete time would strand shards whenever the configuration changed
+	// between write and delete.
 	width int
-	// digests are per-shard SHA-256 digests of the current encoding,
-	// kept client-side: degraded reads use them to discard rotted shards
-	// and probe further nodes, and Scrub uses them to localise damage.
-	digests [][sha256.Size]byte
-	// chunks holds per-chunk encoding state for objects written through
-	// the pipelined chunked path (len > chunkSize); nil for monolithic
-	// objects. See pipeline.go.
+	// chunks is the object's ordered list of chunk stripes, each with its
+	// own encoding state and per-shard digests (degraded reads use them to
+	// discard rotted shards, Scrub to localise damage); nil only for a
+	// batch member. See pipeline.go.
 	chunks []chunkMeta
 	// batch points at the shared stripe state when this object is a
 	// member of a batched small-object write; nil otherwise. See batch.go.
@@ -230,13 +227,17 @@ func WithRetryPolicy(p cluster.RetryPolicy) VaultOption {
 	return func(v *Vault) { v.retry = p }
 }
 
-// WithChunkSize sets the pipelined writer's chunk size
-// (DefaultChunkSize otherwise): objects larger than n bytes are split
-// into n-byte chunks whose encode and staging overlap as a bounded
-// pipeline, instead of encode-all-then-disperse-all. n <= 0 disables
-// chunking. Tests use small n to exercise multi-chunk objects cheaply.
+// WithChunkSize sets the writer's chunk size (DefaultChunkSize
+// otherwise; n <= 0 leaves it): objects are split into n-byte chunk
+// stripes whose encode and staging overlap as a bounded pipeline,
+// instead of encode-all-then-disperse-all. Tests use small n to exercise
+// multi-chunk objects cheaply.
 func WithChunkSize(n int) VaultOption {
-	return func(v *Vault) { v.chunkSize = n }
+	return func(v *Vault) {
+		if n > 0 {
+			v.chunkSize = n
+		}
+	}
 }
 
 // WithParallelism bounds the goroutines each encode/decode may use, when
@@ -311,99 +312,30 @@ func (v *Vault) lockWait(sp trace.Span, lock func()) {
 }
 
 // Put archives data under id: encode, disperse one shard per node, and
-// open an integrity chain.
+// open an integrity chain. It is PutReader over the slice.
 func (v *Vault) Put(id string, data []byte) error {
 	return v.PutContext(context.Background(), id, data)
 }
 
-// PutContext is Put rooted in (or joined to) a trace: the whole write
-// becomes a "vault.put" span with encode, staging, and retry backoff
-// attributed below it. With tracing disabled it records exactly the flat
-// vault.put.ok/.err histograms Put always has.
+// PutContext is Put rooted in (or joined to) a trace as one "vault.put"
+// span; see PutReader.
 func (v *Vault) PutContext(ctx context.Context, id string, data []byte) error {
-	ctx, sp := v.tracer.Start(ctx, "vault.put",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()), trace.Int("bytes", len(data)))
-	start := time.Now()
-	err := v.put(ctx, id, data)
-	v.obsm.putNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
-	sp.End(err)
+	_, err := v.PutReader(ctx, id, bytes.NewReader(data))
 	return err
 }
 
-func (v *Vault) put(ctx context.Context, id string, data []byte) error {
-	st := v.stripe(id)
-	// Cheap early check; racing Puts of the same id are caught again at
-	// reservation time below.
-	st.mu.RLock()
-	_, exists := st.objects[id]
-	st.mu.RUnlock()
-	if exists {
-		return fmt.Errorf("%w: %s", ErrExists, id)
+// setChunks installs a freshly committed chunk list. For one chunk the
+// object-level Encoded is the chunk's own — a non-batch object reads
+// only Scheme and PlainLen from it — rather than a second one per
+// object; rewrites replace chunk metas whole, never mutate them in place.
+func (obj *vaultObject) setChunks(metas []chunkMeta, total int64) {
+	if len(metas) == 1 {
+		obj.enc = metas[0].enc
+	} else {
+		obj.enc = &Encoded{Scheme: metas[0].enc.Scheme, PlainLen: int(total)}
 	}
-	if v.chunkSize > 0 && len(data) > v.chunkSize {
-		return v.putChunked(ctx, id, data)
-	}
-	// The CPU-heavy work — encoding and chain construction — runs outside
-	// every lock so that concurrent Puts overlap even within a stripe.
-	_, esp := trace.Child(ctx, "vault.encode", trace.Int("bytes", len(data)))
-	encStart := time.Now()
-	enc, err := v.Encoding.Encode(data, v.rnd)
-	esp.End(err)
-	if err != nil {
-		return err
-	}
-	observeRate(v.obsm.encodeMBs, len(data), time.Since(encStart))
-	v.obsm.putBytes.Observe(float64(len(data)))
-	chain, err := tstamp.New(data, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
-	if err != nil {
-		return err
-	}
-
-	// Reserve the id: insert a non-live entry with its writer lock held,
-	// so duplicate Puts fail fast while concurrent Gets that find the
-	// entry block until the dispersal commits (then read it) or aborts
-	// (then see ErrNotFound). The stripe mutex covers only the map
-	// insert; locking the fresh object cannot block.
-	obj := &vaultObject{}
-	obj.mu.Lock()
-	st.mu.Lock()
-	if _, ok := st.objects[id]; ok {
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrExists, id)
-	}
-	st.objects[id] = obj
-	st.mu.Unlock()
-
-	// Stage-then-commit outside the stripe lock: a multi-shard write that
-	// fails partway aborts its stage and leaves no committed shards
-	// behind — no orphans inflating StoredBytes, no registered entry.
-	if err := v.disperse(ctx, id, enc); err != nil {
-		st.mu.Lock()
-		delete(st.objects, id)
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return err
-	}
-	// The vault keeps client-side secrets and the chain; shards live on
-	// nodes only.
-	obj.enc = &Encoded{
-		Scheme:       enc.Scheme,
-		PlainLen:     enc.PlainLen,
-		ClientSecret: enc.ClientSecret,
-		PublicMeta:   enc.PublicMeta,
-	}
-	obj.chain = chain
-	obj.digests = ShardDigests(enc.Shards)
-	obj.width = len(enc.Shards)
-	obj.live.Store(true)
-	// Defensive invalidation while the write lock is still held: a fresh
-	// id cannot have an entry unless it was deleted and re-put, in which
-	// case Delete already dropped it — but the hook costs one map probe
-	// and keeps "every mutator invalidates" unconditional.
-	v.cacheInvalidate(id)
-	obj.mu.Unlock()
-	return nil
+	obj.chunks = metas
+	obj.width = len(metas[0].digests)
 }
 
 // cacheInvalidate drops id's read-cache entry (no-op without a cache).
@@ -415,36 +347,41 @@ func (v *Vault) cacheInvalidate(id string) {
 	}
 }
 
-// disperse writes one encoding's shards to the cluster atomically: every
-// shard is staged under a fresh stage token (retrying transient faults
-// per the vault's policy), then the whole set commits as a single key
-// swap. Any staging error aborts the stage, so the cluster never holds a
-// mix of old and new shards for the object. Callers hold the object's
-// write lock (never a stripe lock): concurrent dispersals of distinct
-// objects overlap fully, and the atomic stageSeq keeps their tokens
-// distinct.
+// disperse writes one encoding's shards to the cluster atomically as
+// Chunk 0 of id: every shard is staged under a fresh stage token
+// (retrying transient faults per the vault's policy), then the whole set
+// commits as a single key swap. Any staging error aborts the stage, so
+// the cluster never holds a mix of old and new shards for the object.
+// Callers hold the write lock of what they rewrite (never a stripe
+// lock): concurrent dispersals overlap fully, and the atomic stageSeq
+// keeps their tokens distinct. Batch blobs are written this way.
 func (v *Vault) disperse(ctx context.Context, id string, enc *Encoded) error {
 	stage := v.newStageToken(id)
-	ctx, ssp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
-	if err := v.stageShards(ctx, stage, id, 0, enc.Shards); err != nil {
-		v.Cluster.AbortStage(stage)
-		ssp.Event("stage.aborted")
-		ssp.End(err)
-		return err
-	}
-	n, err := v.Cluster.CommitStage(stage)
-	if err != nil {
-		// The commit did not land (I/O failure, crash). Best-effort abort
+	sctx, ssp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
+	return v.closeStage(ssp, stage, id, v.stageShards(sctx, stage, id, 0, enc.Shards))
+}
+
+// closeStage ends a dispersal's stage token: with err nil it commits the
+// staged shards as one key swap; otherwise — or if the commit itself
+// fails — it aborts the stage, so the cluster keeps whatever it held
+// before. ssp is the dispersal's cluster.stage span, ended here.
+func (v *Vault) closeStage(ssp trace.Span, stage, id string, err error) error {
+	if err == nil {
+		n, cerr := v.Cluster.CommitStage(stage)
+		if cerr == nil {
+			ssp.Event("stage.committed", trace.Int("shards", n))
+			ssp.End(nil)
+			return nil
+		}
+		// The commit did not land (I/O failure, crash). The abort below
 		// releases whatever the backend still holds parked; on a crashed
 		// disk store recovery discards the orphaned stage at the next Open.
-		v.Cluster.AbortStage(stage)
-		ssp.Event("stage.aborted")
-		ssp.End(err)
-		return fmt.Errorf("core: commit %s: %w", id, err)
+		err = fmt.Errorf("core: commit %s: %w", id, cerr)
 	}
-	ssp.Event("stage.committed", trace.Int("shards", n))
-	ssp.End(nil)
-	return nil
+	v.Cluster.AbortStage(stage)
+	ssp.Event("stage.aborted")
+	ssp.End(err)
+	return err
 }
 
 // cleanupStrayShards removes shards a rewrite left behind when it
@@ -494,54 +431,17 @@ func (v *Vault) Get(id string) ([]byte, error) {
 	return v.GetContext(context.Background(), id)
 }
 
-// GetContext is Get rooted in (or joined to) a trace: the read becomes a
-// "vault.get" span over the stripe fetch (per-node probes with typed
-// failure events), decode, and verify stages — the breakdown a degraded
-// read needs to explain where its latency went. With tracing disabled it
-// records exactly the flat vault.get.ok/.err histograms Get always has.
+// GetContext is Get rooted in (or joined to) a trace: it is ReadTo into
+// a buffer sized to the object, one "vault.get" span over the stripe
+// fetches (per-node probes with typed failure events), decodes, and the
+// verify — the breakdown a degraded read needs to explain where its
+// latency went.
 func (v *Vault) GetContext(ctx context.Context, id string) ([]byte, error) {
-	ctx, sp := v.tracer.Start(ctx, "vault.get",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	start := time.Now()
-	data, err := v.get(ctx, id)
-	v.obsm.getNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
-	if err == nil {
-		sp.SetAttrs(trace.Int("bytes", len(data)))
+	var buf bytes.Buffer
+	if _, err := v.ReadTo(ctx, id, &buf); err != nil {
+		return nil, err
 	}
-	sp.End(err)
-	return data, err
-}
-
-func (v *Vault) get(ctx context.Context, id string) ([]byte, error) {
-	obj := v.lookup(id)
-	if obj == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	v.lockWait(trace.FromContext(ctx), obj.mu.RLock)
-	defer obj.mu.RUnlock()
-	if !obj.live.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	// The epoch is captured before the cache probe AND before the stripe
-	// fetch: an entry inserted below is reachable only while the cluster
-	// is still in the epoch the read began in, so an AdvanceEpoch racing
-	// this read can only make the insert unreachable — never stale.
-	epoch := v.Cluster.Epoch()
-	if v.cache != nil {
-		if cached, ok := v.cacheGet(ctx, id, epoch); ok {
-			// Callers own Get's result; hand out a copy so writes to it
-			// cannot corrupt the immutable cached entry.
-			return append([]byte(nil), cached...), nil
-		}
-	}
-	data, err := v.readObject(ctx, id, obj)
-	if err == nil && v.cache != nil {
-		// Insert under the still-held read lock: any later mutation of
-		// this object must take the write lock first, and its
-		// invalidate(id) then runs strictly after this insert.
-		v.cache.put(id, epoch, data)
-	}
-	return data, err
+	return buf.Bytes(), nil
 }
 
 // cacheGet probes the read cache, recording hit/miss metrics and the
@@ -559,74 +459,6 @@ func (v *Vault) cacheGet(ctx context.Context, id string, epoch int) ([]byte, boo
 	v.obsm.getBytes.Observe(float64(len(cached)))
 	trace.FromContext(ctx).Event("cache.hit", trace.Int("bytes", len(cached)))
 	return cached, true
-}
-
-// readObject is the degraded k-of-n read body; callers hold obj.mu (read
-// or write) and have checked liveness. The stripe fetch fans out the
-// decoder's minimum plus speculative probes, retries transient faults
-// with bounded backoff, discards shards whose digest no longer matches
-// (bit rot, tampering) and pulls from further nodes instead, stopping as
-// soon as the minimum is in hand.
-//
-// A read that had to discard rotted shards still succeeds, but queues
-// the object for ScrubAll (see DirtyObjects) — routing around bit rot
-// must trigger a repair, not hide the damage. A read that cannot reach
-// the encoding's minimum returns *DegradedError (errors.Is ErrDegraded)
-// carrying got/want and the per-node causes, never a raw decode error.
-func (v *Vault) readObject(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
-	if obj.batch != nil {
-		return v.readBatchMember(ctx, id, obj)
-	}
-	if len(obj.chunks) > 0 {
-		return v.readChunked(ctx, id, obj)
-	}
-	sp := trace.FromContext(ctx)
-	n, min := v.Encoding.Shards()
-	res := v.Cluster.FetchStripeCtx(ctx, id, n, min, v.retry, func(i int, data []byte) bool {
-		return i < len(obj.digests) && sha256.Sum256(data) == obj.digests[i]
-	})
-	if len(res.Discarded) > 0 {
-		v.obsm.readDiscarded.Add(int64(len(res.Discarded)))
-		v.markDirty(id)
-		sp.Event("read.dirty", trace.Int("discarded", len(res.Discarded)))
-	}
-	if res.Canceled != nil {
-		// The caller went away mid-read: this is cancellation, not a
-		// degraded stripe — surface the context error so errors.Is
-		// (err, context.Canceled) holds for the abandoning client.
-		return nil, fmt.Errorf("core: get %s: %w", id, res.Canceled)
-	}
-	if res.Fetched < min {
-		v.obsm.readInsufficient.Inc()
-		sp.Event("read.insufficient", trace.Int("got", res.Fetched), trace.Int("want", min))
-		return nil, &DegradedError{Object: id, Got: res.Fetched, Want: min, Failures: res.Failures}
-	}
-	if res.Degraded() {
-		v.obsm.readDegraded.Inc()
-	}
-	enc := &Encoded{
-		Scheme:       obj.enc.Scheme,
-		PlainLen:     obj.enc.PlainLen,
-		Shards:       res.Shards,
-		ClientSecret: obj.enc.ClientSecret,
-		PublicMeta:   obj.enc.PublicMeta,
-	}
-	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("shards", res.Fetched))
-	decStart := time.Now()
-	data, err := v.Encoding.Decode(enc)
-	dsp.End(err)
-	if err != nil {
-		return nil, err
-	}
-	observeRate(v.obsm.decodeMBs, len(data), time.Since(decStart))
-	v.obsm.getBytes.Observe(float64(len(data)))
-	_, vsp := trace.Child(ctx, "vault.verify")
-	err = obj.chain.VerifyData(data)
-	vsp.End(err)
-	if err != nil {
-		return nil, fmt.Errorf("core: integrity chain rejects data for %s: %w", id, err)
-	}
-	return data, nil
 }
 
 // markDirty queues an object for the next ScrubAll after a read had to
@@ -726,39 +558,21 @@ func (v *Vault) renewShares(ctx context.Context, id string) error {
 	if obj.batch != nil {
 		return v.renewBatchMember(ctx, id, obj)
 	}
-	data, err := v.readObject(ctx, id, obj)
-	if err != nil {
+	// Read back through the one read body, then re-disperse through the
+	// write pipeline Put used: the object keeps its chain, and the single
+	// commit keeps the rewrite atomic.
+	var buf bytes.Buffer
+	buf.Grow(obj.enc.PlainLen)
+	if _, err := v.readChunks(ctx, id, obj, &buf); err != nil {
 		return err
 	}
-	if len(obj.chunks) > 0 {
-		// Chunked objects renew through the same pipelined encode→stage
-		// path Put used; the single commit keeps the rewrite atomic.
-		metas, err := v.disperseChunked(ctx, id, data)
-		if err != nil {
-			return fmt.Errorf("core: renewal of %s rolled back: %w", id, err)
-		}
-		oldWidth, oldChunks := obj.width, len(obj.chunks)
-		obj.chunks = metas
-		obj.width = len(metas[0].digests)
-		v.cleanupStrayShards(id, oldWidth, oldChunks, obj.width, len(metas))
-		return nil
-	}
-	_, esp := trace.Child(ctx, "vault.encode", trace.Int("bytes", len(data)))
-	enc, err := v.Encoding.Encode(data, v.rnd)
-	esp.End(err)
+	metas, total, err := v.disperseStream(ctx, id, &buf, nil)
 	if err != nil {
-		return err
-	}
-	if err := v.disperse(ctx, id, enc); err != nil {
 		return fmt.Errorf("core: renewal of %s rolled back: %w", id, err)
 	}
-	obj.enc.ClientSecret = enc.ClientSecret
-	obj.enc.PublicMeta = enc.PublicMeta
-	obj.enc.PlainLen = enc.PlainLen
-	obj.digests = ShardDigests(enc.Shards)
-	oldWidth := obj.width
-	obj.width = len(enc.Shards)
-	v.cleanupStrayShards(id, oldWidth, 1, obj.width, 1)
+	oldWidth, oldChunks := obj.width, len(obj.chunks)
+	obj.setChunks(metas, total)
+	v.cleanupStrayShards(id, oldWidth, oldChunks, obj.width, len(metas))
 	return nil
 }
 
@@ -798,20 +612,12 @@ func (v *Vault) deleteObject(ctx context.Context, id string) error {
 	if obj.batch != nil {
 		v.releaseBatchMember(id, obj)
 	} else {
-		// Delete the stripe actually written (obj.width), not whatever the
+		// Delete the stripes actually written (obj.width), not whatever the
 		// vault's current encoding would produce — the two diverge when
 		// Encoding is reconfigured after the Put, and the wider stale value
 		// would be strand-free only by luck.
-		n := obj.width
-		if n == 0 {
-			n, _ = v.Encoding.Shards() // pre-width entry (defensive)
-		}
-		chunks := len(obj.chunks)
-		if chunks == 0 {
-			chunks = 1
-		}
-		for c := 0; c < chunks; c++ {
-			for i := 0; i < n; i++ {
+		for c := range obj.chunks {
+			for i := 0; i < obj.width; i++ {
 				v.Cluster.Delete(i, cluster.ShardKey{Object: id, Index: i, Chunk: c})
 			}
 		}

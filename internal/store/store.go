@@ -14,15 +14,16 @@
 // disk machinery.
 package store
 
-// ShardKey addresses one shard of one object version. Objects written
-// monolithically occupy chunk 0; the vault's pipelined writer splits
-// large objects into fixed-size chunks, each encoded as its own stripe,
-// so a shard is addressed by (object, chunk, index). The zero Chunk
-// keeps every pre-chunking key (and persisted test fixture) valid.
+// ShardKey addresses one shard of one object version. The vault's
+// writer splits every object into fixed-size chunks, each encoded as its
+// own stripe, so a shard is addressed by (object, chunk, index); an
+// object no larger than one chunk (and a batch blob) occupies chunk 0
+// alone. The zero Chunk keeps every pre-chunking key (and persisted test
+// fixture) valid.
 type ShardKey struct {
 	Object string // object identifier
 	Index  int    // shard index within the chunk's encoding
-	Chunk  int    // chunk ordinal within the object; 0 for unchunked
+	Chunk  int    // chunk ordinal within the object; 0 for a one-chunk object
 }
 
 // Shard is the unit of storage: opaque bytes plus placement metadata.
